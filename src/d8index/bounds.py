@@ -29,6 +29,7 @@ from .rings import H1_F2, YW_F2
 
 __all__ = [
     "CRITERIA",
+    "CRITERION_REGISTRY",
     "AdmissibilityVerdict",
     "BoundReport",
     "admissible_f2",
@@ -47,8 +48,6 @@ __all__ = [
     "verify_membership_transfer",
     "dimension_condition",
 ]
-
-CRITERIA = ("F2_D8", "Z_D8", "H1_F2")
 
 
 @dataclass(frozen=True)
@@ -87,19 +86,23 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _outside_criterion(name, d, j, gens, target, gens_text, target_text):
+    """Shared body of the mod-2 criteria: certified iff the degree-3j
+    target is NOT in the ideal <gens>."""
+    contained = ideal_contains(gens, target)
+    where = "decomposes over" if contained else "is outside"
+    witness = (f"{target_text} {where} the degree-{3 * j} slice of "
+               f"<{gens_text}>")
+    return AdmissibilityVerdict(d, j, name, not contained, witness)
+
+
 def admissible_f2(d, j):
     """Certify (d, j, 2) from the mod-2 D8 index of S^d x S^d."""
     _check_positive(d=d, j=j)
     y, w = YW_F2.gen("y"), YW_F2.gen("w")
-    target = y ** j * w ** j
-    contained = ideal_contains([pi_poly(d + 1), pi_poly(d + 2)], target)
-    if contained:
-        witness = (f"y^{j}*w^{j} decomposes over the degree-{3 * j} slice "
-                   f"of <pi_{d + 1}, pi_{d + 2}>")
-    else:
-        witness = (f"y^{j}*w^{j} is outside the degree-{3 * j} slice "
-                   f"of <pi_{d + 1}, pi_{d + 2}>")
-    return AdmissibilityVerdict(d, j, "F2_D8", not contained, witness)
+    return _outside_criterion(
+        "F2_D8", d, j, [pi_poly(d + 1), pi_poly(d + 2)], y ** j * w ** j,
+        f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}")
 
 
 def a_ideal(j):
@@ -140,28 +143,25 @@ def admissible_h1_f2(d, j):
     """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
     _check_positive(d=d, j=j)
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
-    target = a ** j * b ** j * (a + b) ** j
-    gens = [a ** (d + 1), (a + b) ** (d + 1)]
-    contained = ideal_contains(gens, target)
-    if contained:
-        witness = (f"a^{j}*b^{j}*(a+b)^{j} decomposes over the degree-{3 * j} "
-                   f"slice of <a^{d + 1}, (a+b)^{d + 1}>")
-    else:
-        witness = (f"a^{j}*b^{j}*(a+b)^{j} is outside the degree-{3 * j} "
-                   f"slice of <a^{d + 1}, (a+b)^{d + 1}>")
-    return AdmissibilityVerdict(d, j, "H1_F2", not contained, witness)
+    return _outside_criterion(
+        "H1_F2", d, j, [a ** (d + 1), (a + b) ** (d + 1)],
+        a ** j * b ** j * (a + b) ** j,
+        f"a^{d + 1}, (a+b)^{d + 1}", f"a^{j}*b^{j}*(a+b)^{j}")
 
 
-_CRITERION_FUNCS = {
-    "F2_D8": admissible_f2,
-    "Z_D8": admissible_z,
-    "H1_F2": admissible_h1_f2,
+# criterion name -> (CLI --coeff value, verdict function of (d, j))
+CRITERION_REGISTRY = {
+    "F2_D8": ("f2", admissible_f2),
+    "Z_D8": ("z", admissible_z),
+    "H1_F2": ("h1f2", admissible_h1_f2),
 }
+
+CRITERIA = tuple(CRITERION_REGISTRY)
 
 
 def admissible(d, j, criterion):
     try:
-        func = _CRITERION_FUNCS[criterion]
+        _, func = CRITERION_REGISTRY[criterion]
     except KeyError:
         raise KeyError(f"unknown criterion {criterion!r}") from None
     return func(d, j)

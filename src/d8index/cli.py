@@ -7,7 +7,8 @@ schema version; element output uses the grammar `coeff*sym^k` joined by
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 element parse failure.  The environment variable
-MPI_MAX_DEGREE overrides the default degree caps of `verify`.
+MPI_MAX_DEGREE (an integer >= 1, like --max-degree) overrides the
+default degree caps of `verify`.
 """
 
 import argparse
@@ -23,7 +24,8 @@ from .rings import ElementParseError
 
 SCHEMA = "1"
 
-_COEFF_TO_CRITERION = {"f2": "F2_D8", "z": "Z_D8", "h1f2": "H1_F2"}
+_CRITERION_OF_COEFF = {coeff: name for name, (coeff, _)
+                       in bounds_mod.CRITERION_REGISTRY.items()}
 
 TABLE_COLUMNS = ("j", "ramos", "mvz", "f2_min_d", "z_min_d", "h1_min_d")
 
@@ -34,7 +36,7 @@ def _emit_json(payload):
 
 def cmd_admissible(args):
     verdict = bounds_mod.admissible(args.d, args.j,
-                                    _COEFF_TO_CRITERION[args.coeff])
+                                    _CRITERION_OF_COEFF[args.coeff])
     _emit_json({"schema": SCHEMA, **verdict.to_dict()})
     return 0
 
@@ -82,9 +84,10 @@ def cmd_verify(args):
         env = os.environ.get("MPI_MAX_DEGREE")
         if env is not None:
             try:
-                max_degree = int(env)
-            except ValueError:
-                print(f"bad MPI_MAX_DEGREE value {env!r}", file=sys.stderr)
+                max_degree = _positive(env)
+            except (ValueError, argparse.ArgumentTypeError):
+                print(f"bad MPI_MAX_DEGREE value {env!r}: need an integer "
+                      ">= 1", file=sys.stderr)
                 return 2
     try:
         checks = verify.run_suite(args.suite, max_degree)
@@ -101,27 +104,18 @@ def cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
+_FAMILIES = {"pi": indexes.pi_poly, "Pi": indexes.capital_pi_poly,
+             "rho": indexes.rho_poly}
+
+
 def cmd_poly(args):
-    if args.family == "pi":
-        element = indexes.pi_poly(args.d)
-    elif args.family == "Pi":
-        element = indexes.capital_pi_poly(args.d)
-    elif args.family == "rho":
-        element = indexes.rho_poly(args.d)
-    else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return 2
-    print(element)
+    print(_FAMILIES[args.family](args.d))
     return 0
 
 
 def cmd_restrict(args):
-    coeff = {"f2": "F2", "z": "Z"}.get(args.coeff)
-    if coeff is None:
-        print(f"unknown coefficient system {args.coeff!r}", file=sys.stderr)
-        return 2
     try:
-        hom = restriction(args.src, args.to, coeff)
+        hom = restriction(args.src, args.to, args.coeff.upper())
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -134,44 +128,29 @@ def cmd_restrict(args):
     return 0
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"ideal {args.name!r} needs --{name}")
+# ideal name -> (flag it needs, generators from the parsed arguments)
+_IDEALS = {
+    "sphere_f2": ("j", lambda a: indexes.index_sphere_r4j_f2(a.j).gens),
+    "sphere_z": ("j", lambda a: indexes.index_sphere_r4j_z(a.j).gens),
+    "product_spheres_f2":
+        ("d", lambda a: indexes.index_product_spheres_f2(a.d, a.kind).gens),
+    "product_spheres_z":
+        ("d", lambda a: indexes.index_product_spheres_z(a.d).gens),
+    "h1_product_z": ("n", lambda a: indexes.index_h1_z_product(a.n).gens),
+    "a_ideal": ("j", lambda a: bounds_mod.a_ideal(a.j)),
+    "b_ideal": ("d", lambda a: bounds_mod.b_ideal(a.d)),
+}
 
 
 def cmd_ideal(args):
-    try:
-        if args.name == "sphere_f2":
-            _require(args, ["j"])
-            ideal = indexes.index_sphere_r4j_f2(args.j)
-        elif args.name == "sphere_z":
-            _require(args, ["j"])
-            ideal = indexes.index_sphere_r4j_z(args.j)
-        elif args.name == "product_spheres_f2":
-            _require(args, ["d"])
-            ideal = indexes.index_product_spheres_f2(args.d, args.kind)
-        elif args.name == "product_spheres_z":
-            _require(args, ["d"])
-            ideal = indexes.index_product_spheres_z(args.d)
-        elif args.name == "h1_product_z":
-            _require(args, ["n"])
-            ideal = indexes.index_h1_z_product(args.n)
-        elif args.name == "a_ideal":
-            _require(args, ["j"])
-            print("; ".join(str(g) for g in bounds_mod.a_ideal(args.j)))
-            return 0
-        elif args.name == "b_ideal":
-            _require(args, ["d"])
-            print("; ".join(str(g) for g in bounds_mod.b_ideal(args.d)))
-            return 0
-        else:
-            print(f"unknown ideal name {args.name!r}", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if args.name not in _IDEALS:
+        print(f"unknown ideal name {args.name!r}", file=sys.stderr)
         return 2
-    print(ideal)
+    flag, build = _IDEALS[args.name]
+    if getattr(args, flag) is None:
+        print(f"ideal {args.name!r} needs --{flag}", file=sys.stderr)
+        return 2
+    print("; ".join(str(g) for g in build(args)))
     return 0
 
 
@@ -192,7 +171,7 @@ def build_parser():
     p = sub.add_parser("admissible", help="evaluate one admissibility criterion")
     p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--j", type=_positive, required=True)
-    p.add_argument("--coeff", choices=sorted(_COEFF_TO_CRITERION), required=True)
+    p.add_argument("--coeff", choices=sorted(_CRITERION_OF_COEFF), required=True)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("bounds", help="bound report for one value of j")
@@ -213,7 +192,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("poly", help="print a member of a polynomial family")
-    p.add_argument("--family", choices=("pi", "Pi", "rho"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_poly)
 
@@ -226,9 +205,7 @@ def build_parser():
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("ideal", help="print the generators of an index ideal")
-    p.add_argument("--name", required=True,
-                   help="sphere_f2 | sphere_z | product_spheres_f2 | "
-                        "product_spheres_z | h1_product_z | a_ideal | b_ideal")
+    p.add_argument("--name", required=True, help=" | ".join(_IDEALS))
     p.add_argument("--d", type=_positive, default=None)
     p.add_argument("--j", type=_positive, default=None)
     p.add_argument("--n", type=_positive, default=None)

@@ -15,7 +15,7 @@ M -> w(x+y), W -> w^2.
 """
 
 from .linalg import gf2_nullspace, z4_kernel
-from .poly import _relation_columns, element_bitmask, element_coeffs
+from .poly import encode_columns
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
                     K5_F2, RingMismatchError, Z2xZ2_F2, Z2xZ2_Z)
@@ -143,17 +143,15 @@ def hom_kernel_slice(hom, degree):
     images = [hom._apply_monomial(m) for m in dslice.basis]
 
     if dom.coeff == "F2" and cod.coeff == "F2":
-        cols = [element_bitmask(e, cslice) for e in images]
-        kernel_masks = gf2_nullspace(cols)
         out = []
-        for mask in kernel_masks:
+        for mask in gf2_nullspace(encode_columns(images, cslice, True)):
             terms = {m: 1 for i, m in enumerate(dslice.basis) if mask >> i & 1}
             e = dom.element(terms)
             if e:
                 out.append(e)
         return out
 
-    cols = [element_coeffs(e, cslice) for e in images] + _relation_columns(cslice)
+    cols = encode_columns(images, cslice, False) + cslice.relation_columns()
     out = []
     seen = set()
     for ker in z4_kernel(cols):
@@ -219,26 +217,22 @@ class RestrictionDiagram:
         return results
 
 
-def _hom(dom, cod, images, name):
-    return RingHom(dom, cod, images, name=name)
-
-
 # --------------------------------------------------------------- F2 diagram
 
 _F2_EDGES = {
-    ("D8", "H1"): _hom(D8_F2, H1_F2,
-                       {"x": 0, "y": "b", "w": "a^2+a*b"}, "res_H1_D8"),
-    ("D8", "H2"): _hom(D8_F2, H2_F2,
-                       {"x": "e", "y": "e", "w": "u"}, "res_H2_D8"),
-    ("D8", "H3"): _hom(D8_F2, H3_F2,
-                       {"x": "d", "y": 0, "w": "c^2+c*d"}, "res_H3_D8"),
-    ("H1", "K1"): _hom(H1_F2, K1_F2, {"a": "t1", "b": "t1"}, "res_K1_H1"),
-    ("H1", "K2"): _hom(H1_F2, K2_F2, {"a": 0, "b": "t2"}, "res_K2_H1"),
-    ("H1", "K3"): _hom(H1_F2, K3_F2, {"a": "t3", "b": 0}, "res_K3_H1"),
-    ("H2", "K3"): _hom(H2_F2, K3_F2, {"e": 0, "u": "t3^2"}, "res_K3_H2"),
-    ("H3", "K3"): _hom(H3_F2, K3_F2, {"c3": "t3", "d3": 0}, "res_K3_H3"),
-    ("H3", "K4"): _hom(H3_F2, K4_F2, {"c3": "t4", "d3": "t4"}, "res_K4_H3"),
-    ("H3", "K5"): _hom(H3_F2, K5_F2, {"c3": 0, "d3": "t5"}, "res_K5_H3"),
+    ("D8", "H1"): RingHom(D8_F2, H1_F2,
+                          {"x": 0, "y": "b", "w": "a^2+a*b"}, "res_H1_D8"),
+    ("D8", "H2"): RingHom(D8_F2, H2_F2,
+                          {"x": "e", "y": "e", "w": "u"}, "res_H2_D8"),
+    ("D8", "H3"): RingHom(D8_F2, H3_F2,
+                          {"x": "d", "y": 0, "w": "c^2+c*d"}, "res_H3_D8"),
+    ("H1", "K1"): RingHom(H1_F2, K1_F2, {"a": "t1", "b": "t1"}, "res_K1_H1"),
+    ("H1", "K2"): RingHom(H1_F2, K2_F2, {"a": 0, "b": "t2"}, "res_K2_H1"),
+    ("H1", "K3"): RingHom(H1_F2, K3_F2, {"a": "t3", "b": 0}, "res_K3_H1"),
+    ("H2", "K3"): RingHom(H2_F2, K3_F2, {"e": 0, "u": "t3^2"}, "res_K3_H2"),
+    ("H3", "K3"): RingHom(H3_F2, K3_F2, {"c3": "t3", "d3": 0}, "res_K3_H3"),
+    ("H3", "K4"): RingHom(H3_F2, K4_F2, {"c3": "t4", "d3": "t4"}, "res_K4_H3"),
+    ("H3", "K5"): RingHom(H3_F2, K5_F2, {"c3": 0, "d3": "t5"}, "res_K5_H3"),
 }
 
 F2_DIAGRAM = RestrictionDiagram(
@@ -252,20 +246,20 @@ F2_DIAGRAM = RestrictionDiagram(
 # ---------------------------------------------------------------- Z diagram
 
 _Z_EDGES = {
-    ("D8", "H1"): _hom(D8_Z_FULL, H1_Z,
-                       {"X": 0, "Y": "beta", "M": "mu",
-                        "W": "alpha^2+alpha*beta"}, "res_H1_D8_Z"),
-    ("D8", "H2"): _hom(D8_Z_FULL, H2_Z,
-                       {"X": "2*U", "Y": "2*U", "M": 0, "W": "U^2"},
-                       "res_H2_D8_Z"),
-    ("D8", "H3"): _hom(D8_Z_FULL, H3_Z,
-                       {"X": "delta", "Y": 0, "M": "eta",
-                        "W": "gamma^2+gamma*delta"}, "res_H3_D8_Z"),
-    ("H1", "K3"): _hom(H1_Z, K3_Z,
-                       {"alpha": "theta3", "beta": 0, "mu": 0}, "res_K3_H1_Z"),
-    ("H2", "K3"): _hom(H2_Z, K3_Z, {"U": "theta3"}, "res_K3_H2_Z"),
-    ("H3", "K3"): _hom(H3_Z, K3_Z,
-                       {"gamma": "theta3", "delta": 0, "eta": 0}, "res_K3_H3_Z"),
+    ("D8", "H1"): RingHom(D8_Z_FULL, H1_Z,
+                          {"X": 0, "Y": "beta", "M": "mu",
+                           "W": "alpha^2+alpha*beta"}, "res_H1_D8_Z"),
+    ("D8", "H2"): RingHom(D8_Z_FULL, H2_Z,
+                          {"X": "2*U", "Y": "2*U", "M": 0, "W": "U^2"},
+                          "res_H2_D8_Z"),
+    ("D8", "H3"): RingHom(D8_Z_FULL, H3_Z,
+                          {"X": "delta", "Y": 0, "M": "eta",
+                           "W": "gamma^2+gamma*delta"}, "res_H3_D8_Z"),
+    ("H1", "K3"): RingHom(H1_Z, K3_Z,
+                          {"alpha": "theta3", "beta": 0, "mu": 0}, "res_K3_H1_Z"),
+    ("H2", "K3"): RingHom(H2_Z, K3_Z, {"U": "theta3"}, "res_K3_H2_Z"),
+    ("H3", "K3"): RingHom(H3_Z, K3_Z,
+                          {"gamma": "theta3", "delta": 0, "eta": 0}, "res_K3_H3_Z"),
 }
 
 Z_DIAGRAM = RestrictionDiagram(
@@ -278,22 +272,22 @@ Z_DIAGRAM = RestrictionDiagram(
 # --------------------------------------------------- coefficient reduction
 
 MOD2_REDUCTION = {
-    "D8": _hom(D8_Z_FULL, D8_F2,
-               {"X": "x^2", "Y": "y^2", "M": "w*x+w*y", "W": "w^2"}, "c_D8"),
-    "H1": _hom(H1_Z, H1_F2,
-               {"alpha": "a^2", "beta": "b^2", "mu": "a^2*b+a*b^2"}, "c_H1"),
-    "H2": _hom(H2_Z, H2_F2, {"U": "u"}, "c_H2"),
-    "H3": _hom(H3_Z, H3_F2,
-               {"gamma": "c^2", "delta": "d^2", "eta": "c^2*d+c*d^2"}, "c_H3"),
-    "K3": _hom(K3_Z, K3_F2, {"theta3": "t3^2"}, "c_K3"),
-    "Z2xZ2": _hom(Z2xZ2_Z, Z2xZ2_F2,
-                  {"tau1": "t1^2", "tau2": "t2^2", "mu": "t1^2*t2+t1*t2^2"},
-                  "c_Z2xZ2"),
+    "D8": RingHom(D8_Z_FULL, D8_F2,
+                  {"X": "x^2", "Y": "y^2", "M": "w*x+w*y", "W": "w^2"}, "c_D8"),
+    "H1": RingHom(H1_Z, H1_F2,
+                  {"alpha": "a^2", "beta": "b^2", "mu": "a^2*b+a*b^2"}, "c_H1"),
+    "H2": RingHom(H2_Z, H2_F2, {"U": "u"}, "c_H2"),
+    "H3": RingHom(H3_Z, H3_F2,
+                  {"gamma": "c^2", "delta": "d^2", "eta": "c^2*d+c*d^2"}, "c_H3"),
+    "K3": RingHom(K3_Z, K3_F2, {"theta3": "t3^2"}, "c_K3"),
+    "Z2xZ2": RingHom(Z2xZ2_Z, Z2xZ2_F2,
+                     {"tau1": "t1^2", "tau2": "t2^2", "mu": "t1^2*t2+t1*t2^2"},
+                     "c_Z2xZ2"),
 }
 
 # quotient identifying the Z-coefficient D8 ring with the bound ring
-FULL_TO_BOUND = _hom(D8_Z_FULL, D8_Z_BOUND,
-                     {"X": 0, "Y": "Y", "M": "M", "W": "W"}, "quot_bound")
+FULL_TO_BOUND = RingHom(D8_Z_FULL, D8_Z_BOUND,
+                        {"X": 0, "Y": "Y", "M": "M", "W": "W"}, "quot_bound")
 
 
 def lift_bound_to_full(element):

@@ -4,7 +4,8 @@ Every ideal handled here is homogeneous and every graded piece of every
 ring is a finite abelian group, so membership is exact linear algebra on
 the degree slice: Gaussian elimination over F2, and a Z/4 Howell-form
 solve for the Z-coefficient rings, where each order-2 basis monomial
-contributes an extra relation column 2*e_i.
+contributes an extra relation column 2*e_i.  Every decider encodes its
+elements through `encode_columns` over the slice's own index map.
 
 `contains_by_enumeration` is the independent brute-force oracle: it
 enumerates all coefficient assignments to the slice elements and never
@@ -23,6 +24,7 @@ __all__ = [
     "slice_intersection_is_zero",
     "element_bitmask",
     "element_coeffs",
+    "encode_columns",
 ]
 
 
@@ -61,7 +63,7 @@ def graded_ideal_slice(gens, degree):
 
 def element_bitmask(e, slice_):
     """Coordinates of an F2 element over the slice basis, as a bitmask."""
-    index = {m: i for i, m in enumerate(slice_.basis)}
+    index = slice_.index
     v = 0
     for mono in e.terms:
         v |= 1 << index[mono]
@@ -70,52 +72,47 @@ def element_bitmask(e, slice_):
 
 def element_coeffs(e, slice_):
     """Coordinates of a Z-ring element over the slice basis."""
-    index = {m: i for i, m in enumerate(slice_.basis)}
+    index = slice_.index
     v = [0] * len(slice_.basis)
     for mono, c in e.terms.items():
         v[index[mono]] = c
     return v
 
 
-def _relation_columns(slice_):
-    """Columns 2*e_i identifying 2*(order-2 monomial) with zero."""
-    cols = []
-    n = len(slice_.basis)
-    for i, order in enumerate(slice_.orders):
-        if order == 2:
-            col = [0] * n
-            col[i] = 2
-            cols.append(col)
-    return cols
+def encode_columns(elems, slice_, f2):
+    """Solver columns of the elements over the slice: bitmasks when `f2`,
+    else coefficient lists (without the slice's relation columns)."""
+    encode = element_bitmask if f2 else element_coeffs
+    return [encode(e, slice_) for e in elems]
 
 
-def _membership_degree(gens, f):
-    """Shared prechecks; returns the slice degree or None when trivial."""
+def _membership_instance(gens, f):
+    """Shared prelude of the membership deciders: checks the inputs and
+    encodes the span of <gens> and the target f over the slice of f.
+    Returns (slice, f2, span columns, target column), or None when f = 0
+    (0 lies in every ideal)."""
     _check_homogeneous(list(gens) + [f])
     _common_ring(list(gens) + [f])
     if not f:
-        return None  # 0 lies in every ideal
+        return None
     degree = f.degree()
     if degree == 0:
         raise ValueError("membership is defined for positive-degree elements")
-    return degree
+    slice_ = f.ring.graded_slice(degree)
+    f2 = f.ring.coeff == "F2"
+    cols = encode_columns(graded_ideal_slice(gens, degree), slice_, f2)
+    return slice_, f2, cols, encode_columns([f], slice_, f2)[0]
 
 
 def ideal_contains(gens, f):
     """True iff the homogeneous element f lies in the ideal <gens>."""
-    degree = _membership_degree(gens, f)
-    if degree is None:
+    instance = _membership_instance(gens, f)
+    if instance is None:
         return True
-    ring = f.ring
-    slice_ = ring.graded_slice(degree)
-    span = graded_ideal_slice(gens, degree)
-    if ring.coeff == "F2":
-        return gf2_in_span([element_bitmask(e, slice_) for e in span],
-                           element_bitmask(f, slice_))
-    cols = [element_coeffs(e, slice_) for e in span] + _relation_columns(slice_)
-    if not cols:
-        return False
-    return howell_solve(cols, element_coeffs(f, slice_))
+    slice_, f2, cols, target = instance
+    if f2:
+        return gf2_in_span(cols, target)
+    return howell_solve(cols + slice_.relation_columns(), target)
 
 
 def ideal_subset(a_gens, b_gens):
@@ -130,32 +127,29 @@ def contains_by_enumeration(gens, f):
     assignment to the slice elements (all of F2^n, respectively all of
     (Z/4)^n pushed into the quotient group) and looks the target up.
     """
-    degree = _membership_degree(gens, f)
-    if degree is None:
+    instance = _membership_instance(gens, f)
+    if instance is None:
         return True
-    ring = f.ring
-    slice_ = ring.graded_slice(degree)
-    span = graded_ideal_slice(gens, degree)
-    if ring.coeff == "F2":
+    slice_, f2, cols, target = instance
+    if f2:
         sums = {0}
-        for v in (element_bitmask(e, slice_) for e in span):
+        for v in cols:
             sums |= {s ^ v for s in sums}
-        return element_bitmask(f, slice_) in sums
+        return target in sums
 
     orders = slice_.orders
 
     def canon(vec):
         return tuple(c % o for c, o in zip(vec, orders))
 
-    sums = {canon([0] * len(slice_.basis))}
-    for e in span:
-        v = element_coeffs(e, slice_)
+    sums = {canon([0] * len(orders))}
+    for v in cols:
         new = set(sums)
         for s in sums:
             for c in (1, 2, 3):
                 new.add(canon([a + c * b for a, b in zip(s, v)]))
         sums = new
-    return canon(element_coeffs(f, slice_)) in sums
+    return canon(target) in sums
 
 
 def slice_intersection_is_zero(a_gens, b_gens, degree):
@@ -172,9 +166,10 @@ def slice_intersection_is_zero(a_gens, b_gens, degree):
     if not span_a or not span_b:
         return True
 
-    if ring.coeff == "F2":
-        cols_a = [element_bitmask(e, slice_) for e in span_a]
-        cols_b = [element_bitmask(e, slice_) for e in span_b]
+    f2 = ring.coeff == "F2"
+    cols_a = encode_columns(span_a, slice_, f2)
+    cols_b = encode_columns(span_b, slice_, f2)
+    if f2:
         for mask in gf2_nullspace(cols_a + cols_b):
             x = 0
             for i, col in enumerate(cols_a):
@@ -184,9 +179,7 @@ def slice_intersection_is_zero(a_gens, b_gens, degree):
                 return False
         return True
 
-    rel = _relation_columns(slice_)
-    cols_a = [element_coeffs(e, slice_) for e in span_a]
-    cols_b = [element_coeffs(e, slice_) for e in span_b]
+    rel = slice_.relation_columns()
     neg_b = [[(-x) % 4 for x in col] for col in cols_b]
     combined = cols_a + rel + neg_b
     na = len(cols_a) + len(rel)

@@ -43,17 +43,32 @@ class ElementParseError(ValueError):
 
 class GradedSlice:
     """Basis of the degree-n piece of a ring: normal-form monomials in
-    descending lexicographic order, with their additive orders."""
+    descending lexicographic order, with their additive orders and the
+    monomial -> coordinate map every encoding over the slice uses."""
 
-    __slots__ = ("degree", "basis", "orders")
+    __slots__ = ("degree", "basis", "orders", "index")
 
     def __init__(self, degree, basis, orders):
         self.degree = degree
         self.basis = tuple(basis)
         self.orders = tuple(orders)
+        self.index = {m: i for i, m in enumerate(self.basis)}
 
     def __len__(self):
         return len(self.basis)
+
+    def relation_columns(self):
+        """Z/4 columns 2*e_i, one per order-2 basis monomial: they make a
+        Z/4 solve over the slice respect 2*m = 0.  Read off the orders,
+        so an F2 slice gets one per coordinate."""
+        n = len(self.basis)
+        cols = []
+        for i, order in enumerate(self.orders):
+            if order == 2:
+                col = [0] * n
+                col[i] = 2
+                cols.append(col)
+        return cols
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")

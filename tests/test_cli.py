@@ -38,6 +38,33 @@ def test_admissible_rejects_bad_flags(capsys):
     assert code == 2
 
 
+ADMISSIBLE_J8 = {
+    ("f2", 15): ("F2_D8", False, "y^8*w^8 decomposes over the degree-24 "
+                 "slice of <pi_16, pi_17>"),
+    ("f2", 16): ("F2_D8", True, "y^8*w^8 is outside the degree-24 slice "
+                 "of <pi_17, pi_18>"),
+    ("z", 15): ("Z_D8", False, "every generator of A_8 lies in B_15"),
+    ("z", 16): ("Z_D8", True, "generator W^4*Y^4 of A_8 escapes B_16 at "
+                "degree 24"),
+    ("h1f2", 15): ("H1_F2", False, "a^8*b^8*(a+b)^8 decomposes over the "
+                   "degree-24 slice of <a^16, (a+b)^16>"),
+    ("h1f2", 16): ("H1_F2", True, "a^8*b^8*(a+b)^8 is outside the "
+                   "degree-24 slice of <a^17, (a+b)^17>"),
+}
+
+
+def test_admissible_full_json_at_j8(capsys):
+    # d = 15, 16 straddle mvz_upper(8, 2) = 16
+    for (coeff, d), (criterion, certified, witness) in ADMISSIBLE_J8.items():
+        code, out, _ = run(capsys, "admissible", "--d", str(d), "--j", "8",
+                           "--coeff", coeff)
+        assert code == 0
+        assert json.loads(out) == {"schema": "1", "d": d, "j": 8,
+                                   "criterion": criterion,
+                                   "certified": certified,
+                                   "witness": witness}
+
+
 def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--j", "1")
     assert code == 0
@@ -122,6 +149,12 @@ def test_ideal_command(capsys):
     assert code == 0 and out.strip() == "y^3+w*y; y^4; w^3"
     code, out, _ = run(capsys, "ideal", "--name", "a_ideal", "--j", "1")
     assert code == 0 and out.strip() == "M*Y; W*Y"
+    code, out, _ = run(capsys, "ideal", "--name", "sphere_z", "--j", "3")
+    assert code == 0 and out.strip() == "W*M*Y^2; W^2*Y^2"
+    code, out, _ = run(capsys, "ideal", "--name", "h1_product_z", "--n", "2")
+    assert code == 0 and out.strip() == "tau1^2; tau2^2; mu*tau1; mu*tau2"
+    code, out, _ = run(capsys, "ideal", "--name", "b_ideal", "--d", "2")
+    assert code == 0 and out.strip() == "Y^2; Y^3+W*Y; M*Y"
 
 
 def test_ideal_errors(capsys):
@@ -153,9 +186,10 @@ def test_verify_diagram_with_max_degree(capsys, monkeypatch):
     monkeypatch.setenv("MPI_MAX_DEGREE", "6")
     code, out, _ = run(capsys, "verify", "--suite", "diagram")
     assert code == 0
-    monkeypatch.setenv("MPI_MAX_DEGREE", "banana")
-    code, _, err = run(capsys, "verify", "--suite", "diagram")
-    assert code == 2 and err
+    for bad in ("banana", "0", "-5"):
+        monkeypatch.setenv("MPI_MAX_DEGREE", bad)
+        code, out, err = run(capsys, "verify", "--suite", "diagram")
+        assert code == 2 and err and not out
 
 
 def test_verify_indexes_suite(capsys):
@@ -163,6 +197,7 @@ def test_verify_indexes_suite(capsys):
                        "--max-degree", "16")
     assert code == 0
     assert "generating function" in out
+    assert "PASS product index chains shrink as d grows, d <= 16\n" in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,0 +1,24 @@
+"""Module hygiene of the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "d8index"
+
+
+def _private_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").startswith("d8index")
+        for alias in node.names:
+            if internal and alias.name.startswith("_"):
+                yield f"{path.name}:{node.lineno} imports {alias.name}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in _private_imports(path)]
+    assert found == []
