@@ -21,7 +21,7 @@ and the mechanical verifiers of the inclusion lemmas that show the Z
 criterion never improves on the upper bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .indexes import index_product_spheres_z, index_sphere_r4j_z, pi_poly
 from .poly import ideal_contains, ideal_subset
@@ -86,14 +86,22 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _outside_criterion(name, d, j, gens, target, gens_text, target_text):
-    """Shared body of the mod-2 criteria: certified iff the degree-3j
-    target is NOT in the ideal <gens>."""
-    contained = ideal_contains(gens, target)
-    where = "decomposes over" if contained else "is outside"
-    witness = (f"{target_text} {where} the degree-{3 * j} slice of "
-               f"<{gens_text}>")
-    return AdmissibilityVerdict(d, j, name, not contained, witness)
+def _outside_criterion(name, d, j, targets, gens, witness):
+    """Shared body of the criteria: certified iff some target is NOT in
+    the ideal <gens>.  `witness(failing)` words the verdict, `failing`
+    being the first target outside <gens>, or None."""
+    failing = next((t for t in targets if not ideal_contains(gens, t)), None)
+    return AdmissibilityVerdict(d, j, name, failing is not None,
+                                witness(failing))
+
+
+def _slice_witness(j, gens_text, target_text):
+    """Witness wording of the single-target mod-2 criteria."""
+    def witness(failing):
+        where = "decomposes over" if failing is None else "is outside"
+        return (f"{target_text} {where} the degree-{3 * j} slice of "
+                f"<{gens_text}>")
+    return witness
 
 
 def admissible_f2(d, j):
@@ -101,8 +109,8 @@ def admissible_f2(d, j):
     _check_positive(d=d, j=j)
     y, w = YW_F2.gen("y"), YW_F2.gen("w")
     return _outside_criterion(
-        "F2_D8", d, j, [pi_poly(d + 1), pi_poly(d + 2)], y ** j * w ** j,
-        f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}")
+        "F2_D8", d, j, [y ** j * w ** j], [pi_poly(d + 1), pi_poly(d + 2)],
+        _slice_witness(j, f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}"))
 
 
 def a_ideal(j):
@@ -124,19 +132,17 @@ def admissible_z(d, j, literal_inclusion=False):
     `literal_inclusion` to certify on containment instead.
     """
     _check_positive(d=d, j=j)
-    a_gens, b_gens = a_ideal(j), b_ideal(d)
-    failing = None
-    for g in a_gens:
-        if not ideal_contains(b_gens, g):
-            failing = g
-            break
-    if failing is None:
-        witness = f"every generator of A_{j} lies in B_{d}"
-    else:
-        witness = (f"generator {failing} of A_{j} escapes B_{d} at degree "
-                   f"{failing.degree()}")
-    certified = (failing is None) if literal_inclusion else (failing is not None)
-    return AdmissibilityVerdict(d, j, "Z_D8", certified, witness)
+
+    def witness(failing):
+        if failing is None:
+            return f"every generator of A_{j} lies in B_{d}"
+        return (f"generator {failing} of A_{j} escapes B_{d} at degree "
+                f"{failing.degree()}")
+
+    verdict = _outside_criterion("Z_D8", d, j, a_ideal(j), b_ideal(d), witness)
+    if literal_inclusion:
+        verdict = replace(verdict, certified=not verdict.certified)
+    return verdict
 
 
 def admissible_h1_f2(d, j):
@@ -144,9 +150,10 @@ def admissible_h1_f2(d, j):
     _check_positive(d=d, j=j)
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return _outside_criterion(
-        "H1_F2", d, j, [a ** (d + 1), (a + b) ** (d + 1)],
-        a ** j * b ** j * (a + b) ** j,
-        f"a^{d + 1}, (a+b)^{d + 1}", f"a^{j}*b^{j}*(a+b)^{j}")
+        "H1_F2", d, j, [a ** j * b ** j * (a + b) ** j],
+        [a ** (d + 1), (a + b) ** (d + 1)],
+        _slice_witness(j, f"a^{d + 1}, (a+b)^{d + 1}",
+                       f"a^{j}*b^{j}*(a+b)^{j}"))
 
 
 # criterion name -> (CLI --coeff value, verdict function of (d, j))

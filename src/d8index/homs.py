@@ -14,7 +14,7 @@ symmetric swap, and the reduction images X -> x^2, Y -> y^2,
 M -> w(x+y), W -> w^2.
 """
 
-from .linalg import gf2_nullspace, z4_kernel
+from .linalg import z4_kernel
 from .poly import encode_columns
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
@@ -141,24 +141,13 @@ def hom_kernel_slice(hom, degree):
     dslice = dom.graded_slice(degree)
     cslice = cod.graded_slice(degree)
     images = [hom._apply_monomial(m) for m in dslice.basis]
-
-    if dom.coeff == "F2" and cod.coeff == "F2":
-        out = []
-        for mask in gf2_nullspace(encode_columns(images, cslice, True)):
-            terms = {m: 1 for i, m in enumerate(dslice.basis) if mask >> i & 1}
-            e = dom.element(terms)
-            if e:
-                out.append(e)
-        return out
-
+    # Z/4 kernel with the codomain's relation columns; over an F2 domain
+    # the coefficients reduce mod 2 and duplicates are dropped
     cols = encode_columns(images, cslice, False) + cslice.relation_columns()
     out = []
-    seen = set()
     for ker in z4_kernel(cols):
-        terms = {m: ker[i] for i, m in enumerate(dslice.basis) if ker[i]}
-        e = dom.element(terms)
-        if e and e not in seen:
-            seen.add(e)
+        e = dom.element({m: ker[i] for i, m in enumerate(dslice.basis) if ker[i]})
+        if e and e not in out:
             out.append(e)
     return out
 

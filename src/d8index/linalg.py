@@ -5,16 +5,17 @@ XOR on Python ints.  Z/4 vectors are sequences of ints in {0,1,2,3}.
 Solvability over Z/4 cannot use plain Gaussian elimination because 2 is
 a zero divisor; instead we compute the Howell form of the row span,
 which has the property that every element of the span reduces to zero
-against it.
+against it.  The same form gives the order of the span and, through
+tracking coordinates, the kernel of a column matrix.
 """
 
 __all__ = [
     "gf2_basis",
     "gf2_reduce",
     "gf2_in_span",
-    "gf2_nullspace",
     "howell_form",
     "howell_solve",
+    "z4_log2_order",
     "z4_kernel",
 ]
 
@@ -42,29 +43,6 @@ def gf2_basis(vectors):
 
 def gf2_in_span(vectors, target):
     return gf2_reduce(target, gf2_basis(vectors)) == 0
-
-
-def gf2_nullspace(vectors):
-    """Masks c (bit i <-> vectors[i]) with XOR of the chosen vectors = 0.
-
-    Returns one mask per dependent input vector; together they span the
-    full nullspace of the column matrix.
-    """
-    basis = {}
-    null = []
-    for i, v in enumerate(vectors):
-        c = 1 << i
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = (v, c)
-                break
-            bv, bc = basis[lead]
-            v ^= bv
-            c ^= bc
-        else:
-            null.append(c)
-    return null
 
 
 # ---------------------------------------------------------------- Z/4
@@ -139,6 +117,13 @@ def howell_solve(columns, target):
     if any(len(c) != len(t) for c in cols):
         raise ValueError("dimension mismatch")
     return not any(_reduce_z4(t, howell_form(cols)))
+
+
+def z4_log2_order(columns):
+    """log2 of the order of the Z/4 span of `columns`.  Every span
+    element is sum c_i*row_i over the Howell rows in exactly one way with
+    c_i in Z/4 for a unit pivot and c_i in {0, 1} for a pivot 2."""
+    return sum(2 if row[col] == 1 else 1 for col, row in howell_form(columns))
 
 
 def z4_kernel(columns):

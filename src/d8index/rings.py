@@ -276,7 +276,7 @@ class RingPresentation:
                     raise ElementParseError(f"empty factor in {raw_term!r}")
                 # minus only on integers: the free degree-0 part of a
                 # Z-coefficient ring can carry negative values
-                if factor.isdigit() or (factor[0] == "-" and factor[1:].isdigit()):
+                if factor.isdecimal() or (factor[0] == "-" and factor[1:].isdecimal()):
                     coeff *= int(factor)
                     continue
                 m = _FACTOR_RE.match(factor)

@@ -136,6 +136,10 @@ def test_restrict_errors(capsys):
     code, _, err = run(capsys, "restrict", "--from", "D8", "--to", "H1",
                        "--coeff", "f2", "--element", "w+")
     assert code == 3 and err
+    # a digit that is not decimal is a parse error, not a crash in int()
+    code, _, err = run(capsys, "restrict", "--from", "D8", "--to", "H1",
+                       "--coeff", "f2", "--element", "\u00b2")
+    assert code == 3 and err
 
 
 def test_ideal_command(capsys):

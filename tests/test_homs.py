@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,6 +124,35 @@ def test_kernel_slice_elements_die():
             for e in hom_kernel_slice(hom, degree):
                 assert hom(e) == hom.codomain.zero()
                 assert e.degree() == degree
+
+
+def _kernel_check_cases():
+    homs = list(F2_DIAGRAM.edges.values()) + list(Z_DIAGRAM.edges.values()) \
+        + list(MOD2_REDUCTION.values())
+    for hom in homs:
+        for degree in range(1, 13):
+            if len(hom.domain.monomials(degree)) <= 6:
+                yield hom, degree
+
+
+def test_kernel_slice_complete():
+    """The elements of the domain slice that map to 0 are exactly the
+    span of the listed kernel generators, by enumerating the slice."""
+    checked = 0
+    for hom, degree in _kernel_check_cases():
+        dom = hom.domain
+        dslice = dom.graded_slice(degree)
+        dead = set()
+        for coeffs in itertools.product(*(range(o) for o in dslice.orders)):
+            e = dom.element(dict(zip(dslice.basis, coeffs)))
+            if not hom(e):
+                dead.add(e)
+        span = {dom.zero()}
+        for e in hom_kernel_slice(hom, degree):
+            span = {s + c * e for s in span for c in range(4)}
+        assert span == dead, (hom.name, degree)
+        checked += 1
+    assert checked >= 100
 
 
 def test_full_to_bound_and_lift():

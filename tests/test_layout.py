@@ -1,6 +1,7 @@
 """Module hygiene of the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "d8index"
@@ -22,3 +23,15 @@ def test_no_module_imports_a_private_name_from_another():
     assert paths
     found = [hit for path in paths for hit in _private_imports(path)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # __main__ is skipped: importing it runs the CLI
+    paths = sorted(p for p in SRC.glob("*.py") if p.stem != "__main__")
+    missing = []
+    for path in paths:
+        name = "d8index" if path.stem == "__init__" else f"d8index.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert missing == []

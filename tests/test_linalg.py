@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from d8index.linalg import (gf2_in_span, gf2_nullspace, howell_form,
-                            howell_solve, z4_kernel)
+from d8index.linalg import (gf2_in_span, howell_form, howell_solve,
+                            z4_kernel, z4_log2_order)
 
 
 def test_howell_solve_scalar_cases():
@@ -100,15 +100,22 @@ def test_z4_kernel_complete_on_small_instances(seed):
     assert generated == brute
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_z4_log2_order_matches_span_size(seed):
+    rng = random.Random(400 + seed)
+    width = rng.randint(1, 4)
+    columns = [tuple(rng.randrange(4) for _ in range(width))
+               for _ in range(rng.randint(0, 5))]
+    assert 2 ** z4_log2_order(columns) == len(_brute_span(columns, width))
+
+
 def test_gf2_span_and_nullspace():
     vectors = [0b011, 0b101, 0b110]  # third = first ^ second
     assert gf2_in_span(vectors, 0b110)
     assert not gf2_in_span(vectors, 0b111)
-    masks = gf2_nullspace(vectors)
-    assert masks == [0b111]
-    for mask in masks:
-        acc = 0
-        for i, v in enumerate(vectors):
-            if mask >> i & 1:
-                acc ^= v
-        assert acc == 0
+    # the F2 nullspace is the mod-2 image of the Z/4 kernel of the
+    # columns together with the relation columns 2*e_i
+    cols = [[v >> i & 1 for i in range(3)] for v in vectors]
+    rel = [[2 * (i == k) for i in range(3)] for k in range(3)]
+    null = {tuple(c % 2 for c in ker[:3]) for ker in z4_kernel(cols + rel)}
+    assert null - {(0, 0, 0)} == {(1, 1, 1)}

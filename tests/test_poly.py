@@ -124,3 +124,39 @@ def test_slice_intersection():
     # <y^2> and <y^3> share y^5 in degree 5
     assert not slice_intersection_is_zero([_yw("y^2")], [_yw("y^3")], 5)
     assert slice_intersection_is_zero([_yw("y^2")], [_yw("w")], 3)
+    # no generators on one side, or on both
+    assert slice_intersection_is_zero([], [], 3)
+    assert slice_intersection_is_zero([], [x], 3)
+    # Z coefficients: 2*(W + Y^2) = 2*W because Y^2 has order 2
+    full = get_ring("D8_Z_FULL")
+    W, Y = full.gen("W"), full.gen("Y")
+    assert not slice_intersection_is_zero([2 * W], [W + Y ** 2], 4)
+    assert slice_intersection_is_zero([2 * W], [Y ** 2], 4)
+
+
+def _span_elements(elems, zero):
+    """Every sum of Z/4 multiples of the elements (F2 reduces mod 2)."""
+    span = {zero}
+    for e in elems:
+        span = {s + c * e for s in span for c in range(4)}
+    return span
+
+
+@pytest.mark.parametrize("ring", [YW_F2] + [get_ring(name) for name in (
+    "D8_F2", "H1_F2", "D8_Z_BOUND", "D8_Z_FULL", "H1_Z", "H2_Z")],
+    ids=lambda ring: ring.name)
+def test_slice_intersection_matches_brute_force(ring):
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(40):
+        degree = rng.randint(1, 8)
+        if not 0 < len(ring.monomials(degree)) <= 5:
+            continue
+        a_gens, b_gens = ([random_homogeneous(ring, rng.randint(1, degree), rng)
+                           for _ in range(rng.randint(1, 2))] for _ in range(2))
+        span_a = _span_elements(graded_ideal_slice(a_gens, degree), ring.zero())
+        span_b = _span_elements(graded_ideal_slice(b_gens, degree), ring.zero())
+        assert slice_intersection_is_zero(a_gens, b_gens, degree) == \
+            (span_a & span_b == {ring.zero()})
+        checked += 1
+    assert checked >= 10
