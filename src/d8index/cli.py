@@ -6,7 +6,8 @@ schema version; element output uses the grammar `coeff*sym^k` joined by
 `+`, ideals print generators joined by `; `.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error, 3 element parse failure.  The environment variable
+2 usage error, 3 element parse failure, 141 stdout closed by its
+reader (the usual code for SIGPIPE).  The environment variable
 MPI_MAX_DEGREE (an integer >= 1, like --max-degree) overrides the
 default degree caps of `verify`.
 """
@@ -229,7 +230,15 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the rest of stdout, including the
+        # interpreter's flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

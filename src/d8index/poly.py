@@ -46,7 +46,9 @@ def _common_ring(elems):
 def graded_ideal_slice(gens, degree):
     """Spanning set {m * g} of the degree piece of the ideal <gens>:
     g runs over the generators and m over the normal-form monomials with
-    deg(m) + deg(g) = degree.  Zero products are dropped."""
+    deg(m) + deg(g) = degree.  Each m * g is the shift of g's terms by m
+    (distinct terms give distinct shifts), put in normal form once.  Zero
+    products are dropped."""
     _check_homogeneous(gens)
     ring = _common_ring(gens)
     out = []
@@ -56,8 +58,10 @@ def graded_ideal_slice(gens, degree):
         mdeg = degree - g.degree()
         if mdeg < 0:
             continue
+        terms = g.terms.items()
         for mono in ring.monomials(mdeg):
-            prod = ring.monomial_element(mono) * g
+            prod = ring.element({tuple(a + b for a, b in zip(mono, t)): c
+                                 for t, c in terms})
             if prod:
                 out.append(prod)
     return out

@@ -95,6 +95,9 @@ class RingPresentation:
         self.orders = tuple(orders) if orders is not None else (2,) * len(self.gens)
         if not (len(self.gens) == len(self.degrees) == len(self.orders)):
             raise ValueError("generator/degree/order length mismatch")
+        for d in self.degrees:
+            if not isinstance(d, int) or d < 1:
+                raise ValueError(f"generator degree {d!r} is not an integer >= 1")
         self.relations = tuple(
             (tuple(pat), tuple(sorted((tuple(m), int(c)) for m, c in dict(rep).items())))
             for pat, rep in relations
@@ -198,19 +201,25 @@ class RingPresentation:
         return True
 
     def all_exponents(self, degree):
-        """Every exponent tuple of the given degree, normal or not."""
+        """Every exponent tuple of the given degree, normal or not, in
+        ascending lexicographic order.  The last exponent is solved from
+        the others, not looped over."""
+        degrees = self.degrees
+        if not degrees or degree < 0:
+            return [()] if degree == 0 else []
+        last = len(degrees) - 1
         result = []
 
         def rec(i, remaining, prefix):
-            if i == len(self.gens):
-                if remaining == 0:
-                    result.append(tuple(prefix))
+            d = degrees[i]
+            if i == last:
+                if remaining % d == 0:
+                    result.append(prefix + (remaining // d,))
                 return
-            d = self.degrees[i]
             for e in range(remaining // d + 1):
-                rec(i + 1, remaining - e * d, prefix + [e])
+                rec(i + 1, remaining - e * d, prefix + (e,))
 
-        rec(0, degree, [])
+        rec(0, degree, ())
         return result
 
     def monomials(self, degree):
@@ -251,9 +260,6 @@ class RingPresentation:
         mono = [0] * len(self.gens)
         mono[i] = 1
         return self.element({tuple(mono): 1})
-
-    def monomial_element(self, mono, coeff=1):
-        return self.element({tuple(mono): coeff})
 
     # -- grammar -----------------------------------------------------------
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import d8index
 from d8index.cli import main
 from d8index.rings import YW_F2, get_ring
 
@@ -53,16 +57,53 @@ ADMISSIBLE_J8 = {
 }
 
 
-def test_admissible_full_json_at_j8(capsys):
-    # d = 15, 16 straddle mvz_upper(8, 2) = 16
-    for (coeff, d), (criterion, certified, witness) in ADMISSIBLE_J8.items():
-        code, out, _ = run(capsys, "admissible", "--d", str(d), "--j", "8",
+ADMISSIBLE_J255 = {
+    ("f2", 383): ("F2_D8", True, "y^255*w^255 is outside the degree-765 "
+                  "slice of <pi_384, pi_385>"),
+    ("h1f2", 383): ("H1_F2", True, "a^255*b^255*(a+b)^255 is outside the "
+                    "degree-765 slice of <a^384, (a+b)^384>"),
+    ("z", 383): ("Z_D8", False, "every generator of A_255 lies in B_383"),
+}
+
+
+def _assert_admissible_json(capsys, j, cases):
+    for (coeff, d), (criterion, certified, witness) in cases.items():
+        code, out, _ = run(capsys, "admissible", "--d", str(d), "--j", str(j),
                            "--coeff", coeff)
         assert code == 0
-        assert json.loads(out) == {"schema": "1", "d": d, "j": 8,
+        assert json.loads(out) == {"schema": "1", "d": d, "j": j,
                                    "criterion": criterion,
                                    "certified": certified,
                                    "witness": witness}
+
+
+def test_admissible_full_json_at_j8(capsys):
+    # d = 15, 16 straddle mvz_upper(8, 2) = 16
+    _assert_admissible_json(capsys, 8, ADMISSIBLE_J8)
+
+
+def test_admissible_full_json_at_j255(capsys):
+    # d = 383 = mvz_upper(255, 2) - 1: the deep slices of degree 765
+    _assert_admissible_json(capsys, 255, ADMISSIBLE_J255)
+
+
+def test_closed_stdout_exits_141():
+    # the read end is closed before the process starts, so every write
+    # to stdout fails: no race with a reader that quits early
+    src = os.path.dirname(os.path.dirname(d8index.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["bounds", "--j", "1"],
+                 ["table", "--j-max", "4", "--format", "csv"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "d8index", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, argv
+        assert proc.stderr == b"", argv
 
 
 def test_bounds_json(capsys):

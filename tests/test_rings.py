@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from d8index.rings import (CATALOG, ElementParseError, RingMismatchError,
-                           YW_F2, get_ring)
+                           YW_F2, f2_polynomial_ring, get_ring)
 
 ALL_RING_IDS = [
     "D8_F2", "D8_Z_FULL", "D8_Z_BOUND",
@@ -89,6 +90,28 @@ def test_normal_form_idempotent(name):
         terms = {m: rng.randint(1, 3) for m in rng.sample(monos, min(3, len(monos)))}
         once = ring.normal_form(terms)
         assert ring.normal_form(once) == once
+
+
+ENUMERATED_RINGS = {**CATALOG, "YW_F2": YW_F2, "F2[]": f2_polynomial_ring([])}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_RINGS))
+def test_exponent_enumeration_matches_product(name):
+    """Reference: filter the full box of exponent tuples, in the same
+    (ascending lexicographic) order, for every degree up to 14."""
+    ring = ENUMERATED_RINGS[name]
+    for n in range(15):
+        box = itertools.product(*(range(n // d + 1) for d in ring.degrees))
+        expected = [e for e in box if ring.monomial_degree(e) == n]
+        assert ring.all_exponents(n) == expected
+        assert ring.monomials(n) == sorted(
+            (e for e in expected if ring.is_normal_monomial(e)), reverse=True)
+
+
+def test_generator_degrees_must_be_positive():
+    for degrees in ([0], [-1], [1.0]):
+        with pytest.raises(ValueError):
+            f2_polynomial_ring(["t"], degrees)
 
 
 def test_monomial_basis_is_sorted_and_normal():
