@@ -3,9 +3,10 @@ group of order 8, and the derived two-hyperplane mass partition bounds.
 
 The package works entirely in exact arithmetic: cohomology rings with
 2- and 4-torsion are presented by generators and rewrite rules, ideal
-membership is decided degree by degree with F2 elimination or a Z/4
-Howell-form solve, and every polynomial identity and inclusion the
-bounds rest on can be re-verified mechanically (`d8index verify`).
+membership is decided degree by degree by one Howell basis over packed
+Z/2 and Z/4 coordinates for F2 and Z rings alike, and every polynomial
+identity and inclusion the bounds rest on can be re-verified
+mechanically (`d8index verify`).
 """
 
 from .bounds import (AdmissibilityVerdict, BoundReport, a_ideal, admissible,

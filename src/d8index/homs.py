@@ -12,10 +12,15 @@ The generator images encode the subgroup lattice data of D8: which
 generators die on restriction, the K4/K5 images fixed up to the
 symmetric swap, and the reduction images X -> x^2, Y -> y^2,
 M -> w(x+y), W -> w^2.
+
+`hom_kernel_slice` packs the images of a domain slice's monomials over
+the codomain slice and reads the kernel off one Howell basis whose
+tracking coordinates carry the domain's own orders, so coefficients over
+an F2 domain come out mod 2 with no separate reduction step.
 """
 
 from .linalg import z4_kernel
-from .poly import encode_columns
+from .poly import element_vector
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
                     K5_F2, RingMismatchError, Z2xZ2_F2, Z2xZ2_Z)
@@ -140,16 +145,12 @@ def hom_kernel_slice(hom, degree):
     dom, cod = hom.domain, hom.codomain
     dslice = dom.graded_slice(degree)
     cslice = cod.graded_slice(degree)
-    images = [hom._apply_monomial(m) for m in dslice.basis]
-    # Z/4 kernel with the codomain's relation columns; over an F2 domain
-    # the coefficients reduce mod 2 and duplicates are dropped
-    cols = encode_columns(images, cslice, False) + cslice.relation_columns()
-    out = []
-    for ker in z4_kernel(cols):
-        e = dom.element({m: ker[i] for i, m in enumerate(dslice.basis) if ker[i]})
-        if e and e not in out:
-            out.append(e)
-    return out
+    # column i is the image of the monomial on bit i of the domain slice
+    images = [element_vector(hom._apply_monomial(m), cslice)
+              for m in reversed(dslice.basis)]
+    return [dom.element({m: (lo >> i & 1) + 2 * (hi >> i & 1)
+                         for m, i in dslice.index.items()})
+            for lo, hi in z4_kernel(images, cslice.mask4, dslice.mask4)]
 
 
 class RestrictionDiagram:

@@ -26,6 +26,7 @@ __all__ = [
     "pi_poly_binomial",
     "capital_pi_poly",
     "capital_pi_poly_binomial",
+    "capital_pi_generating_function_holds",
     "rho_poly",
     "pi_in_d8",
     "index_sphere_r4j_f2",
@@ -118,6 +119,21 @@ def capital_pi_poly_binomial(d):
     if d < 0:
         raise ValueError("d must be >= 0")
     return _pi_binomial(D8_Z_BOUND, "Y", "W", d)
+
+
+def capital_pi_generating_function_holds(max_degree=40):
+    """True iff sum_d Pi_d equals y/(1-y-w) = sum_n y*(y+w)^n in the
+    bound ring up to degree `max_degree`; y*(y+w)^n starts in degree
+    2n+2 and Pi_d has degree 2d."""
+    Y, W = D8_Z_BOUND.gen("Y"), D8_Z_BOUND.gen("W")
+    series, power = D8_Z_BOUND.zero(), D8_Z_BOUND.one()
+    for _ in range(max_degree // 2):
+        series = series + Y * power
+        power = power * (Y + W)
+    truncated = D8_Z_BOUND.element({m: c for m, c in series.terms.items()
+                                    if D8_Z_BOUND.monomial_degree(m) <= max_degree})
+    return truncated == sum((capital_pi_poly(d) for d in range(max_degree // 2 + 1)),
+                            D8_Z_BOUND.zero())
 
 
 def pi_in_d8(d):

@@ -1,148 +1,117 @@
-"""Exact linear algebra over F2 and over Z/4.
+"""Exact linear algebra in finite groups (+) Z/o_i with every o_i in {2, 4}.
 
-F2 vectors are int bitmasks (bit i = coordinate i), so elimination is
-XOR on Python ints.  Z/4 vectors are sequences of ints in {0,1,2,3}.
-Solvability over Z/4 cannot use plain Gaussian elimination because 2 is
-a zero divisor; instead we compute the Howell form of the row span,
-which has the property that every element of the span reduces to zero
-against it.  The same form gives the order of the span and, through
-tracking coordinates, the kernel of a column matrix.
+Every graded slice is such a group; an F2 slice is the case where every
+o_i is 2.  A vector is packed as two bitplanes (lo, hi): coordinate i
+holds lo_i + 2*hi_i, and `hi` is masked to the order-4 coordinates, an
+int `mask4`, so every order-2 coordinate reduces mod 2 by itself.  Sums
+are bitwise: lo = a.lo ^ b.lo, hi = (a.hi ^ b.hi ^ carry) & mask4.
+
+Since 2 is a zero divisor in Z/4, solvability uses a Howell basis of the
+span (Howell, Lin. Multilin. Alg. 19, 1986; Storjohann-Mulders, ESA
+1998): a triangular basis against which every element of the span
+reduces to zero.  Membership, the order of the span and, through
+tracking coordinates, the kernel of a column matrix are all read off
+it.  With `mask4 == 0` it is plain F2 elimination on bitmasks.
 """
 
 __all__ = [
-    "gf2_basis",
-    "gf2_reduce",
-    "gf2_in_span",
-    "howell_form",
+    "howell_basis",
     "howell_solve",
+    "z4_in_span",
     "z4_log2_order",
     "z4_kernel",
 ]
 
 
-# ----------------------------------------------------------------- F2
-
-def gf2_reduce(v, basis):
-    """Reduce bitmask v against a triangular basis {lead bit: row}."""
-    while v:
-        row = basis.get(v.bit_length() - 1)
+def _reduce(basis, lo, hi, mask4):
+    """Reduce (lo, hi) against the basis until it is zero, its leading
+    coordinate holds no pivot, or it has a unit entry over a pivot 2."""
+    while lo | hi:
+        k = (lo | hi).bit_length() - 1
+        row = basis.get(k)
         if row is None:
-            return v
-        v ^= row
-    return 0
+            break
+        rlo, rhi = row
+        bit = 1 << k
+        if rlo & bit and not lo & bit:    # entry 2 over a unit: add 2*row
+            hi ^= rlo & mask4
+        elif lo & bit and not rlo & bit:  # unit entry over a pivot 2
+            break
+        else:           # subtract row: a unit minus a unit leaves 0 or 2
+            hi = (hi ^ rhi ^ (rlo & ~lo)) & mask4
+            lo ^= rlo
+    return lo, hi
 
 
-def gf2_basis(vectors):
+def howell_basis(vectors, mask4):
+    """Howell basis {leading coordinate: row} of the span of `vectors`.
+
+    Each vector is reduced against the basis built so far and placed at
+    its leading (highest nonzero) coordinate; its pivot is a unit (1 or
+    3) or 2.  A unit landing on a pivot 2 becomes the pivot and the old
+    row is inserted again; after a row whose pivot has additive order 2
+    is placed, its annihilator multiple 2*row is inserted too.
+    """
     basis = {}
-    for v in vectors:
-        v = gf2_reduce(v, basis)
-        if v:
-            basis[v.bit_length() - 1] = v
+    pending = list(vectors)[::-1]
+    while pending:
+        lo, hi = _reduce(basis, *pending.pop(), mask4)
+        if not lo | hi:
+            continue
+        k = (lo | hi).bit_length() - 1
+        bit = 1 << k
+        old = basis.get(k)
+        basis[k] = (lo, hi)
+        if old is not None:           # a unit replaces a pivot 2: swap
+            pending.append(old)
+        two = lo & mask4
+        if two and not two & bit:     # pivot of additive order 2
+            pending.append((0, two))  # annihilator 2*row
     return basis
 
 
-def gf2_in_span(vectors, target):
-    return gf2_reduce(target, gf2_basis(vectors)) == 0
+def z4_in_span(vectors, target, mask4):
+    """True iff the packed `target` lies in the span of `vectors`."""
+    return _reduce(howell_basis(vectors, mask4), *target, mask4) == (0, 0)
 
 
-# ---------------------------------------------------------------- Z/4
+def z4_log2_order(vectors, mask4):
+    """log2 of the order of the span of `vectors`.  Every span element
+    is sum c_k*row_k over the Howell rows in exactly one way, with c_k
+    in Z/4 for a unit pivot on an order-4 coordinate and c_k in {0, 1}
+    for a pivot of order 2."""
+    return sum(2 if (lo & mask4) >> k & 1 else 1
+               for k, (lo, _) in howell_basis(vectors, mask4).items())
 
-def howell_form(rows):
-    """Howell form of the Z/4 row span of `rows`.
 
-    Returns a list of (leading column, row) pairs with strictly
-    increasing leading columns.  Pivot entries are 1 or 2.  When a pivot
-    is 2 its annihilator multiple 2*row is fed back into the sweep; this
-    is what upgrades plain echelon form to Howell form.
+def z4_kernel(columns, mask4, domain_mask4):
+    """Generators of {x : sum_i x_i*columns[i] = 0}, packed over the
+    domain (+) Z/o_i, whose order-4 coordinates are `domain_mask4`.
+
+    Column i is the image of e_i; a column for an order-2 domain
+    coordinate must be killed by 2.  Each column gets tracking bits below
+    its own coordinates; Howell rows whose leading coordinate lies in
+    the tracking block record vanishing combinations, and by the Howell
+    property they generate every such combination.  Columns go in from
+    the top coordinate down, and the kernel rows come out in descending
+    order of their leading coordinate.
     """
-    work = [[v % 4 for v in r] for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for i, r in enumerate(work):
-            if r[col] % 2:
-                piv = work.pop(i)
-                if piv[col] == 3:
-                    piv = [(3 * v) % 4 for v in piv]
-                break
-        if piv is None:
-            for i, r in enumerate(work):
-                if r[col]:
-                    piv = work.pop(i)
-                    break
-        if piv is None:
-            continue
-        rest = []
-        for r in work:
-            if r[col]:
-                if piv[col] == 1:
-                    f = r[col]
-                    r = [(a - f * b) % 4 for a, b in zip(r, piv)]
-                else:  # both entries equal 2
-                    r = [(a - b) % 4 for a, b in zip(r, piv)]
-            if any(r):
-                rest.append(r)
-        work = rest
-        if piv[col] == 2:
-            ann = [(2 * v) % 4 for v in piv]
-            if any(ann):
-                work.append(ann)
-        pivots.append((col, piv))
-    return pivots
+    p = len(columns)
+    mask = mask4 << p | domain_mask4
+    rows = [(lo << p | 1 << i, hi << p) for i, (lo, hi) in enumerate(columns)]
+    basis = howell_basis(reversed(rows), mask)
+    return [basis[k] for k in sorted(basis, reverse=True) if k < p]
 
 
-def _reduce_z4(vec, pivots):
-    v = [x % 4 for x in vec]
-    for col, row in pivots:
-        x = v[col]
-        if not x:
-            continue
-        if row[col] == 1:
-            v = [(a - x * b) % 4 for a, b in zip(v, row)]
-        else:
-            if x % 2:
-                return v  # odd entry over a 2-pivot: not reducible
-            v = [(a - (x // 2) * b) % 4 for a, b in zip(v, row)]
-    return v
+def _pack(values):
+    return (sum((v & 1) << i for i, v in enumerate(values)),
+            sum((v >> 1 & 1) << i for i, v in enumerate(values)))
 
 
 def howell_solve(columns, target):
-    """True iff `target` is a Z/4-linear combination of `columns`."""
-    t = list(target)
-    cols = [list(c) for c in columns]
-    if any(len(c) != len(t) for c in cols):
+    """True iff `target` is a Z/4-linear combination of `columns`, all
+    given as sequences of ints over (Z/4)^n."""
+    target, columns = list(target), list(columns)
+    if any(len(c) != len(target) for c in columns):
         raise ValueError("dimension mismatch")
-    return not any(_reduce_z4(t, howell_form(cols)))
-
-
-def z4_log2_order(columns):
-    """log2 of the order of the Z/4 span of `columns`.  Every span
-    element is sum c_i*row_i over the Howell rows in exactly one way with
-    c_i in Z/4 for a unit pivot and c_i in {0, 1} for a pivot 2."""
-    return sum(2 if row[col] == 1 else 1 for col, row in howell_form(columns))
-
-
-def z4_kernel(columns):
-    """Generators of {x : sum_i x_i*columns[i] = 0} over Z/4.
-
-    Augments each column with a tracking coordinate; Howell rows whose
-    leading index lies in the tracking block record Z/4 combinations of
-    the columns that vanish, and by the Howell property they generate
-    every such combination.
-    """
-    if not columns:
-        return []
-    m = len(columns[0])
-    if any(len(c) != m for c in columns):
-        raise ValueError("dimension mismatch")
-    p = len(columns)
-    rows = []
-    for i, c in enumerate(columns):
-        track = [0] * p
-        track[i] = 1
-        rows.append(list(c) + track)
-    return [tuple(row[m:]) for col, row in howell_form(rows) if col >= m]
+    return z4_in_span(map(_pack, columns), _pack(target), (1 << len(target)) - 1)

@@ -1,20 +1,21 @@
 """Homogeneous ideal membership and inclusion, decided degree by degree.
 
 Every ideal handled here is homogeneous and every graded piece of every
-ring is a finite abelian group, so membership is exact linear algebra on
-the degree slice: Gaussian elimination over F2, and a Z/4 Howell-form
-solve for the Z-coefficient rings, where each order-2 basis monomial
-contributes an extra relation column 2*e_i.  Every decider encodes its
-elements through `encode_columns` over the slice's own index map.
-Whether two ideal slices meet only in 0 is one Z/4 count for every
-ring: subgroup orders read off Howell forms.
+ring is a finite group (+) Z/o_i with o_i in {2, 4} (an F2 slice is the
+case where every o_i is 2), so membership is exact linear algebra on the
+degree slice.  `element_vector` is the one encoder: it packs an element
+over the slice's own index map as two bitplanes (lo, hi), with `hi`
+masked to the slice's order-4 coordinates (`GradedSlice.mask4`).  Every
+decider, for every ring, hands such vectors to one Howell basis
+(`linalg.howell_basis`): membership is a reduction against it, and
+whether two ideal slices meet only in 0 is a count of subgroup orders.
 
 `contains_by_enumeration` is the independent brute-force oracle: it
-enumerates all coefficient assignments to the slice elements and never
-touches the elimination code paths.
+enumerates every sum of multiples of the slice elements with its own
+bitplane addition and never touches the elimination code paths.
 """
 
-from .linalg import gf2_in_span, howell_solve, z4_log2_order
+from .linalg import z4_in_span, z4_log2_order
 from .rings import GradedSlice, RingMismatchError
 
 __all__ = [
@@ -24,9 +25,7 @@ __all__ = [
     "ideal_subset",
     "contains_by_enumeration",
     "slice_intersection_is_zero",
-    "element_bitmask",
-    "element_coeffs",
-    "encode_columns",
+    "element_vector",
 ]
 
 
@@ -67,35 +66,22 @@ def graded_ideal_slice(gens, degree):
     return out
 
 
-def element_bitmask(e, slice_):
-    """Coordinates of an F2 element over the slice basis, as a bitmask."""
+def element_vector(e, slice_):
+    """Coefficients of e over the slice, packed as bitplanes (lo, hi): the
+    monomial on bit i = slice_.index[m] has coefficient lo_i + 2*hi_i."""
     index = slice_.index
-    v = 0
-    for mono in e.terms:
-        v |= 1 << index[mono]
-    return v
-
-
-def element_coeffs(e, slice_):
-    """Coordinates of a Z-ring element over the slice basis."""
-    index = slice_.index
-    v = [0] * len(slice_.basis)
+    lo = hi = 0
     for mono, c in e.terms.items():
-        v[index[mono]] = c
-    return v
-
-
-def encode_columns(elems, slice_, f2):
-    """Solver columns of the elements over the slice: bitmasks when `f2`,
-    else coefficient lists (without the slice's relation columns)."""
-    encode = element_bitmask if f2 else element_coeffs
-    return [encode(e, slice_) for e in elems]
+        i = index[mono]
+        lo |= (c & 1) << i
+        hi |= (c >> 1 & 1) << i
+    return lo, hi & slice_.mask4
 
 
 def _membership_instance(gens, f):
     """Shared prelude of the membership deciders: checks the inputs and
     encodes the span of <gens> and the target f over the slice of f.
-    Returns (slice, f2, span columns, target column), or None when f = 0
+    Returns (slice, span vectors, target vector), or None when f = 0
     (0 lies in every ideal)."""
     _check_homogeneous(list(gens) + [f])
     _common_ring(list(gens) + [f])
@@ -105,9 +91,8 @@ def _membership_instance(gens, f):
     if degree == 0:
         raise ValueError("membership is defined for positive-degree elements")
     slice_ = f.ring.graded_slice(degree)
-    f2 = f.ring.coeff == "F2"
-    cols = encode_columns(graded_ideal_slice(gens, degree), slice_, f2)
-    return slice_, f2, cols, encode_columns([f], slice_, f2)[0]
+    vectors = [element_vector(g, slice_) for g in graded_ideal_slice(gens, degree)]
+    return slice_, vectors, element_vector(f, slice_)
 
 
 def ideal_contains(gens, f):
@@ -115,10 +100,8 @@ def ideal_contains(gens, f):
     instance = _membership_instance(gens, f)
     if instance is None:
         return True
-    slice_, f2, cols, target = instance
-    if f2:
-        return gf2_in_span(cols, target)
-    return howell_solve(cols + slice_.relation_columns(), target)
+    slice_, vectors, target = instance
+    return z4_in_span(vectors, target, slice_.mask4)
 
 
 def ideal_subset(a_gens, b_gens):
@@ -129,51 +112,40 @@ def ideal_subset(a_gens, b_gens):
 def contains_by_enumeration(gens, f):
     """Brute-force membership oracle.
 
-    Builds the set of all achievable sums over every coefficient
-    assignment to the slice elements (all of F2^n, respectively all of
-    (Z/4)^n pushed into the quotient group) and looks the target up.
+    Builds the set of every sum of multiples of the slice elements, each
+    packed vector v contributing its distinct nonzero multiples among v,
+    2v, 3v (over F2 only v itself), and looks the target up.
     """
     instance = _membership_instance(gens, f)
     if instance is None:
         return True
-    slice_, f2, cols, target = instance
-    if f2:
-        sums = {0}
-        for v in cols:
-            sums |= {s ^ v for s in sums}
-        return target in sums
+    slice_, vectors, target = instance
+    mask4 = slice_.mask4
 
-    orders = slice_.orders
+    def add(a, b):
+        return a[0] ^ b[0], (a[1] ^ b[1] ^ (a[0] & b[0])) & mask4
 
-    def canon(vec):
-        return tuple(c % o for c, o in zip(vec, orders))
-
-    sums = {canon([0] * len(orders))}
-    for v in cols:
-        new = set(sums)
-        for s in sums:
-            for c in (1, 2, 3):
-                new.add(canon([a + c * b for a, b in zip(s, v)]))
-        sums = new
-    return canon(target) in sums
+    sums = {(0, 0)}
+    for v in vectors:
+        multiples = {v, (0, v[0] & mask4), add(v, (0, v[0] & mask4))} - {(0, 0)}
+        sums |= {add(s, m) for s in sums for m in multiples}
+    return target in sums
 
 
 def slice_intersection_is_zero(a_gens, b_gens, degree):
-    """True iff the degree pieces A, B of <a_gens>, <b_gens> meet only in 0.
-
-    Counts subgroup orders in the slice modulo its relation columns R:
-    A and B meet only in 0 iff |A|*|B| = |A+B|.  Orders are taken as
-    |A| = |A+R|/|R|, and R (independent columns 2*e_i, one for every
-    coordinate of an F2 slice) has log2-order len(R).
-    """
+    """True iff the degree pieces A, B of <a_gens>, <b_gens> meet only in 0,
+    that is iff |A|*|B| = |A+B|, with every order read off a Howell basis.
+    Defined for degree >= 1; H^0 of a Z ring is Z, not a finite slice."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     _common_ring(list(a_gens) + list(b_gens))
     span_a = graded_ideal_slice(a_gens, degree)
     span_b = graded_ideal_slice(b_gens, degree)
     if not span_a or not span_b:
         return True
     slice_ = span_a[0].ring.graded_slice(degree)
-    rel = slice_.relation_columns()
-    cols_a = encode_columns(span_a, slice_, False)
-    cols_b = encode_columns(span_b, slice_, False)
-    return (z4_log2_order(cols_a + rel) + z4_log2_order(cols_b + rel)
-            == z4_log2_order(cols_a + cols_b + rel) + len(rel))
+    mask4 = slice_.mask4
+    vec_a = [element_vector(e, slice_) for e in span_a]
+    vec_b = [element_vector(e, slice_) for e in span_b]
+    return (z4_log2_order(vec_a, mask4) + z4_log2_order(vec_b, mask4)
+            == z4_log2_order(vec_a + vec_b, mask4))

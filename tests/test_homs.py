@@ -108,8 +108,8 @@ def test_kernel_slices():
     # X + Y is the degree-2 kernel of the restriction to the cyclic subgroup
     assert hom_kernel_slice(restriction("D8", "H2", "Z"), 2) == \
         [FULL.gen("X") + FULL.gen("Y")]
-    # 2*U^2 and 2*W die only through the relation columns 2*e_i of the
-    # F2 codomain slice
+    # 2*U^2 and 2*W die only because every coordinate of the F2
+    # codomain slice has order 2
     assert hom_kernel_slice(MOD2_REDUCTION["H2"], 4) == \
         [get_ring("H2_Z").parse("2*U^2")]
     assert hom_kernel_slice(MOD2_REDUCTION["D8"], 4) == [FULL.parse("2*W")]

@@ -35,3 +35,19 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
     assert missing == []
+
+
+def _coefficient_comparisons(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                if isinstance(operand, ast.Constant) and operand.value in ("F2", "Z"):
+                    yield f"{path.name}:{node.lineno} compares with {operand.value!r}"
+
+
+def test_slice_solvers_take_one_path_for_every_coefficient_ring():
+    # an F2 slice is a Z/4-module slice with every coordinate of order 2
+    found = [hit for name in ("poly.py", "linalg.py")
+             for hit in _coefficient_comparisons(SRC / name)]
+    assert found == []

@@ -1,9 +1,25 @@
+import itertools
 import random
 
 import pytest
 
-from d8index.linalg import (gf2_in_span, howell_form, howell_solve,
+from d8index.linalg import (howell_basis, howell_solve, z4_in_span,
                             z4_kernel, z4_log2_order)
+
+
+def _pack(values):
+    """Bitplanes (lo, hi) of a vector: coordinate i = lo_i + 2*hi_i."""
+    return (sum((v & 1) << i for i, v in enumerate(values)),
+            sum((v >> 1 & 1) << i for i, v in enumerate(values)))
+
+
+def _unpack(vector, width):
+    lo, hi = vector
+    return tuple((lo >> i & 1) + 2 * (hi >> i & 1) for i in range(width))
+
+
+def _z4_mask(width):
+    return (1 << width) - 1
 
 
 def test_howell_solve_scalar_cases():
@@ -21,10 +37,11 @@ def test_howell_solve_dimension_mismatch():
         howell_solve([(1, 2)], (1,))
 
 
-def _brute_span(columns, width):
-    span = {tuple([0] * width)}
+def _brute_span(columns, orders):
+    """Every sum of multiples of the columns in (+) Z/o_i."""
+    span = {tuple([0] * len(orders))}
     for col in columns:
-        span = {tuple((s[i] + c * col[i]) % 4 for i in range(width))
+        span = {tuple((a + c * b) % o for a, b, o in zip(s, col, orders))
                 for s in span for c in range(4)}
     return span
 
@@ -35,7 +52,7 @@ def test_howell_solve_matches_brute_force(seed):
     width = rng.randint(1, 3)
     columns = [tuple(rng.randrange(4) for _ in range(width))
                for _ in range(rng.randint(1, 3))]
-    span = _brute_span(columns, width)
+    span = _brute_span(columns, [4] * width)
     for _ in range(20):
         target = tuple(rng.randrange(4) for _ in range(width))
         assert howell_solve(columns, target) == (target in span)
@@ -61,11 +78,12 @@ def test_howell_solve_invariances(seed):
 
 
 def test_howell_form_pivot_structure():
-    pivots = howell_form([[2, 1]])
-    cols = [c for c, _ in pivots]
-    assert cols == sorted(cols)
-    # the annihilator 2*(2,1) = (0,2) must appear as its own pivot row
-    assert cols == [0, 1]
+    # (1, 2): its lead, coordinate 1, holds a pivot 2
+    basis = howell_basis([_pack([1, 2])], _z4_mask(2))
+    assert set(basis) == {0, 1}
+    assert _unpack(basis[1], 2) == (1, 2)
+    # the annihilator 2*(1, 2) = (2, 0) must appear as its own pivot row
+    assert _unpack(basis[0], 2) == (2, 0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -74,9 +92,11 @@ def test_z4_kernel_vectors_annihilate(seed):
     width = rng.randint(1, 4)
     columns = [tuple(rng.randrange(4) for _ in range(width))
                for _ in range(rng.randint(1, 4))]
-    for ker in z4_kernel(columns):
+    kernel = z4_kernel([_pack(c) for c in columns], _z4_mask(width),
+                       _z4_mask(len(columns)))
+    for ker in kernel:
         out = [0] * width
-        for c, col in zip(ker, columns):
+        for c, col in zip(_unpack(ker, len(columns)), columns):
             out = [(a + c * b) % 4 for a, b in zip(out, col)]
         assert not any(out)
 
@@ -96,7 +116,9 @@ def test_z4_kernel_complete_on_small_instances(seed):
             out = [(a + c * b) % 4 for a, b in zip(out, col)]
         if not any(out):
             brute.add(tuple(coeffs))
-    generated = _brute_span([tuple(k) for k in z4_kernel(columns)], ncols)
+    kernel = z4_kernel([_pack(c) for c in columns], _z4_mask(width),
+                       _z4_mask(ncols))
+    generated = _brute_span([_unpack(k, ncols) for k in kernel], [4] * ncols)
     assert generated == brute
 
 
@@ -106,16 +128,54 @@ def test_z4_log2_order_matches_span_size(seed):
     width = rng.randint(1, 4)
     columns = [tuple(rng.randrange(4) for _ in range(width))
                for _ in range(rng.randint(0, 5))]
-    assert 2 ** z4_log2_order(columns) == len(_brute_span(columns, width))
+    assert 2 ** z4_log2_order([_pack(c) for c in columns], _z4_mask(width)) \
+        == len(_brute_span(columns, [4] * width))
 
 
 def test_gf2_span_and_nullspace():
-    vectors = [0b011, 0b101, 0b110]  # third = first ^ second
-    assert gf2_in_span(vectors, 0b110)
-    assert not gf2_in_span(vectors, 0b111)
-    # the F2 nullspace is the mod-2 image of the Z/4 kernel of the
-    # columns together with the relation columns 2*e_i
-    cols = [[v >> i & 1 for i in range(3)] for v in vectors]
-    rel = [[2 * (i == k) for i in range(3)] for k in range(3)]
-    null = {tuple(c % 2 for c in ker[:3]) for ker in z4_kernel(cols + rel)}
-    assert null - {(0, 0, 0)} == {(1, 1, 1)}
+    # with mask4 = 0 every coordinate has order 2: plain F2 bitmasks
+    vectors = [(0b011, 0), (0b101, 0), (0b110, 0)]  # third = first ^ second
+    assert z4_in_span(vectors, (0b110, 0), 0)
+    assert not z4_in_span(vectors, (0b111, 0), 0)
+    assert howell_basis(vectors, 0) == {1: (0b011, 0), 2: (0b101, 0)}
+    # the F2 nullspace, with order-2 tracking coordinates
+    assert z4_kernel(vectors, 0, 0) == [(0b111, 0)]
+
+
+def _mixed_instance(rng, max_width):
+    orders = [rng.choice((2, 4)) for _ in range(rng.randint(1, max_width))]
+    mask4 = sum(1 << i for i, o in enumerate(orders) if o == 4)
+    return orders, mask4
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mixed_orders_match_brute_force(seed):
+    """Membership, order and kernel over (+) Z/o_i, o_i in {2, 4}."""
+    rng = random.Random(500 + seed)
+    orders, mask4 = _mixed_instance(rng, 4)
+    vectors = [tuple(rng.randrange(o) for o in orders)
+               for _ in range(rng.randint(0, 4))]
+    packed = [_pack(v) for v in vectors]
+    span = _brute_span(vectors, orders)
+    assert 2 ** z4_log2_order(packed, mask4) == len(span)
+    for target in itertools.product(*(range(o) for o in orders)):
+        assert z4_in_span(packed, _pack(target), mask4) == (target in span)
+
+    # kernel of a valid map (+) Z/p_j -> (+) Z/o_i: a column for an
+    # order-2 source coordinate is killed by 2
+    sources, source_mask4 = _mixed_instance(rng, 4)
+    columns = []
+    for p in sources:
+        column = tuple(rng.randrange(o) for o in orders)
+        if p == 2:
+            column = tuple(c if o == 2 else c & 2 for c, o in zip(column, orders))
+        columns.append(column)
+    dead = set()
+    for x in itertools.product(*(range(p) for p in sources)):
+        image = [sum(c * col[i] for c, col in zip(x, columns)) % o
+                 for i, o in enumerate(orders)]
+        if not any(image):
+            dead.add(x)
+    kernel = z4_kernel([_pack(c) for c in columns], mask4, source_mask4)
+    assert all(ker[1] & ~source_mask4 == 0 for ker in kernel)
+    assert _brute_span([_unpack(k, len(sources)) for k in kernel], sources) == dead

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,15 @@ def test_slice_intersection():
     assert slice_intersection_is_zero([2 * W], [Y ** 2], 4)
 
 
+def test_slice_intersection_rejects_degree_below_one():
+    # H^0 of a Z ring is Z, not a finite slice: 4Z meets Z in 4Z, not 0
+    full = get_ring("D8_Z_FULL")
+    with pytest.raises(ValueError):
+        slice_intersection_is_zero([4 * full.one()], [full.one()], 0)
+    with pytest.raises(ValueError):
+        slice_intersection_is_zero([], [], -1)
+
+
 def _span_elements(elems, zero):
     """Every sum of Z/4 multiples of the elements (F2 reduces mod 2)."""
     span = {zero}
@@ -160,3 +170,27 @@ def test_slice_intersection_matches_brute_force(ring):
             (span_a & span_b == {ring.zero()})
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("ring_name", ["D8_Z_BOUND", "D8_Z_FULL", "H1_Z", "H2_Z",
+                                       "H3_Z", "Z2xZ2_Z"])
+def test_z_membership_matches_element_arithmetic(ring_name):
+    """ideal_contains against lookup in the set of every Z/4 combination
+    of the ideal slice, formed in RingElement arithmetic, so the encoding
+    is not shared."""
+    ring = get_ring(ring_name)
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(40):
+        degree = rng.randint(1, 8)
+        slice_ = ring.graded_slice(degree)
+        if not 0 < len(slice_) <= 4:
+            continue
+        gens = [g for g in (random_homogeneous(ring, rng.randint(1, degree), rng)
+                            for _ in range(rng.randint(1, 2))) if g]
+        span = _span_elements(graded_ideal_slice(gens, degree), ring.zero())
+        for coeffs in itertools.product(*(range(o) for o in slice_.orders)):
+            f = ring.element(dict(zip(slice_.basis, coeffs)))
+            assert ideal_contains(gens, f) == (f in span), (gens, f)
+        checked += 1
+    assert checked >= 5
