@@ -20,7 +20,7 @@ an F2 domain come out mod 2 with no separate reduction step.
 """
 
 from .linalg import z4_kernel
-from .poly import element_vector
+from .poly import element_vector, vector_element
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
                     K5_F2, RingMismatchError, Z2xZ2_F2, Z2xZ2_Z)
@@ -147,10 +147,9 @@ def hom_kernel_slice(hom, degree):
     cslice = cod.graded_slice(degree)
     # column i is the image of the monomial on bit i of the domain slice
     images = [element_vector(hom._apply_monomial(m), cslice)
-              for m in reversed(dslice.basis)]
-    return [dom.element({m: (lo >> i & 1) + 2 * (hi >> i & 1)
-                         for m, i in dslice.index.items()})
-            for lo, hi in z4_kernel(images, cslice.mask4, dslice.mask4)]
+              for m in sorted(dslice.index, key=dslice.index.get)]
+    return [vector_element(v, dslice, dom)
+            for v in z4_kernel(images, cslice.mask4, dslice.mask4)]
 
 
 class RestrictionDiagram:
@@ -296,11 +295,10 @@ def lift_bound_to_full(element):
 def restriction(src, dst, coeff):
     """Catalog lookup: restriction from subgroup `src` to `dst` for the
     given coefficient system ('F2' or 'Z')."""
-    if coeff == "F2":
-        return F2_DIAGRAM.res(src, dst)
-    if coeff == "Z":
-        return Z_DIAGRAM.res(src, dst)
-    raise KeyError(f"unknown coefficient system {coeff!r}")
+    diagram = {"F2": F2_DIAGRAM, "Z": Z_DIAGRAM}.get(coeff)
+    if diagram is None:
+        raise KeyError(f"unknown coefficient system {coeff!r}")
+    return diagram.res(src, dst)
 
 
 def check_reduction_cube(max_degree=8):

@@ -26,6 +26,7 @@ __all__ = [
     "pi_poly_binomial",
     "capital_pi_poly",
     "capital_pi_poly_binomial",
+    "GENERATING_FUNCTION_DEGREE",
     "capital_pi_generating_function_holds",
     "rho_poly",
     "pi_in_d8",
@@ -121,18 +122,22 @@ def capital_pi_poly_binomial(d):
     return _pi_binomial(D8_Z_BOUND, "Y", "W", d)
 
 
-def capital_pi_generating_function_holds(max_degree=40):
+GENERATING_FUNCTION_DEGREE = 40
+
+
+def capital_pi_generating_function_holds():
     """True iff sum_d Pi_d equals y/(1-y-w) = sum_n y*(y+w)^n in the
-    bound ring up to degree `max_degree`; y*(y+w)^n starts in degree
-    2n+2 and Pi_d has degree 2d."""
+    bound ring up to degree GENERATING_FUNCTION_DEGREE; y*(y+w)^n starts
+    in degree 2n+2 and Pi_d has degree 2d."""
+    top = GENERATING_FUNCTION_DEGREE
     Y, W = D8_Z_BOUND.gen("Y"), D8_Z_BOUND.gen("W")
     series, power = D8_Z_BOUND.zero(), D8_Z_BOUND.one()
-    for _ in range(max_degree // 2):
+    for _ in range(top // 2):
         series = series + Y * power
         power = power * (Y + W)
     truncated = D8_Z_BOUND.element({m: c for m, c in series.terms.items()
-                                    if D8_Z_BOUND.monomial_degree(m) <= max_degree})
-    return truncated == sum((capital_pi_poly(d) for d in range(max_degree // 2 + 1)),
+                                    if D8_Z_BOUND.monomial_degree(m) <= top})
+    return truncated == sum((capital_pi_poly(d) for d in range(top // 2 + 1)),
                             D8_Z_BOUND.zero())
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "contains_by_enumeration",
     "slice_intersection_is_zero",
     "element_vector",
+    "vector_element",
 ]
 
 
@@ -76,6 +77,13 @@ def element_vector(e, slice_):
         lo |= (c & 1) << i
         hi |= (c >> 1 & 1) << i
     return lo, hi & slice_.mask4
+
+
+def vector_element(vector, slice_, ring):
+    """The element of `ring` that `element_vector` packs as `vector`."""
+    lo, hi = vector
+    return ring.element({m: (lo >> i & 1) + 2 * (hi >> i & 1)
+                         for m, i in slice_.index.items()})
 
 
 def _membership_instance(gens, f):

@@ -93,9 +93,7 @@ class RingPresentation:
             for pat, rep in relations
         )
         self.display = tuple(display) if display is not None else self.gens
-        self._symbols = {}
-        for i, s in enumerate(self.gens):
-            self._symbols[s] = i
+        self._symbols = {s: i for i, s in enumerate(self.gens)}
         for i, s in enumerate(self.display):
             self._symbols.setdefault(s, i)
         # factors print in descending generator degree, ties by position
@@ -164,12 +162,8 @@ class RingPresentation:
             for rmono, rcoeff in rep:
                 stack.append((tuple(a + b for a, b in zip(rest, rmono)),
                               coeff * rcoeff))
-        reduced = {}
-        for mono, c in out.items():
-            c = self._reduce_coeff(mono, c)
-            if c:
-                reduced[mono] = c
-        return reduced
+        return {mono: r for mono, c in out.items()
+                if (r := self._reduce_coeff(mono, c))}
 
     def check_confluence(self, max_degree=12):
         """Rewriting reaches the same normal form whichever matching rule
@@ -181,11 +175,10 @@ class RingPresentation:
                     if not all(m >= p for m, p in zip(mono, pat)):
                         continue
                     rest = tuple(m - p for m, p in zip(mono, pat))
-                    start = {}
-                    for rmono, rcoeff in rep:
-                        key = tuple(a + b for a, b in zip(rest, rmono))
-                        start[key] = start.get(key, 0) + rcoeff
-                    firsts.append(self.normal_form(start))
+                    # rep's monomials are distinct, so are their shifts
+                    firsts.append(self.normal_form(
+                        {tuple(a + b for a, b in zip(rest, rmono)): rcoeff
+                         for rmono, rcoeff in rep}))
                 if firsts and any(f != firsts[0] for f in firsts[1:]):
                     return False
         return True
@@ -392,11 +385,8 @@ class RingElement:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = [self.ring.format_monomial(m, self.terms[m])
-                 for m in sorted(self.terms, reverse=True)]
-        return "+".join(parts)
+        return "+".join(self.ring.format_monomial(m, self.terms[m])
+                        for m in sorted(self.terms, reverse=True)) or "0"
 
     def __repr__(self):
         return f"<{self.ring.name}: {self}>"

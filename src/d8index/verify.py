@@ -129,8 +129,9 @@ def suite_indexes(max_degree=64):
                     for d in range(cap + 1))
     checks.append(_check(f"recurrence matches binomial expansion, d <= {cap}", ok))
 
-    checks.append(_check("generating function y/(1-y-w) to degree 40",
-                         indexes.capital_pi_generating_function_holds(40)))
+    checks.append(_check("generating function y/(1-y-w) to degree "
+                         f"{indexes.GENERATING_FUNCTION_DEGREE}",
+                         indexes.capital_pi_generating_function_holds()))
 
     res_h1 = restriction("D8", "H1", "F2")
     ok = all(res_h1(indexes.pi_in_d8(d)) == indexes.rho_poly(d)

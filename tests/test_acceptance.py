@@ -9,7 +9,8 @@ from d8index.bounds import (a_ideal, admissible, b_ideal, min_certified_d,
 from d8index.homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM,
                           check_reduction_cube, lift_bound_to_full,
                           restriction)
-from d8index.indexes import (IndexIdeal, capital_pi_generating_function_holds,
+from d8index.indexes import (GENERATING_FUNCTION_DEGREE, IndexIdeal,
+                             capital_pi_generating_function_holds,
                              capital_pi_poly, capital_pi_poly_binomial, index_join,
                              index_product_spheres_f2, index_sphere_r4j_f2,
                              join_scheme_obstruction, pi_in_d8, pi_poly,
@@ -79,8 +80,8 @@ def test_criterion_4_polynomial_identities():
                for q in range(1, 7)):
         failures.append("Pi at powers of two")
 
-    if not capital_pi_generating_function_holds(40):
-        failures.append("generating function to degree 40")
+    if not capital_pi_generating_function_holds():
+        failures.append(f"generating function to degree {GENERATING_FUNCTION_DEGREE}")
 
     res = restriction("D8", "H1", "F2")
     a, b = H1.gen("a"), H1.gen("b")

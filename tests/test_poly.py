@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from d8index.poly import (contains_by_enumeration, graded_ideal_slice,
-                          ideal_contains, ideal_subset,
-                          slice_intersection_is_zero)
+from d8index.poly import (contains_by_enumeration, element_vector,
+                          graded_ideal_slice, ideal_contains, ideal_subset,
+                          slice_intersection_is_zero, vector_element)
 from d8index.rings import RingMismatchError, YW_F2, get_ring
 from d8index.verify import random_homogeneous
 
@@ -194,3 +194,22 @@ def test_z_membership_matches_element_arithmetic(ring_name):
             assert ideal_contains(gens, f) == (f in span), (gens, f)
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("ring_name", ["D8_F2", "H1_F2", "D8_Z_BOUND", "D8_Z_FULL",
+                                       "H3_Z"])
+def test_vector_element_inverts_element_vector(ring_name):
+    """Every element of a small slice survives the round trip through its
+    packed vector, and distinct elements get distinct vectors."""
+    ring = get_ring(ring_name)
+    for degree in range(1, 7):
+        slice_ = ring.graded_slice(degree)
+        if not 0 < len(slice_) <= 4:
+            continue
+        vectors = set()
+        for coeffs in itertools.product(*(range(o) for o in slice_.orders)):
+            f = ring.element(dict(zip(slice_.basis, coeffs)))
+            v = element_vector(f, slice_)
+            assert vector_element(v, slice_, ring) == f
+            vectors.add(v)
+        assert len(vectors) == 2 ** sum(o.bit_length() - 1 for o in slice_.orders)
