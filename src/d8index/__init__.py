@@ -24,7 +24,6 @@ from .indexes import (IndexIdeal, capital_pi_poly, index_h1_z_product,
                       index_sphere_r4j_z, index_torus_z2k,
                       join_scheme_obstruction, lucas_binom_mod2, pi_in_d8,
                       pi_poly, pi_poly_binomial, rho_poly)
-from .linalg import howell_solve
 from .poly import (GradedSlice, contains_by_enumeration, graded_ideal_slice,
                    ideal_contains, ideal_subset, slice_intersection_is_zero)
 from .rings import (CATALOG, ElementParseError, RingElement, RingMismatchError,
@@ -41,7 +40,7 @@ __all__ = [
     "admissible_z", "b_ideal", "bound_report", "capital_pi_poly",
     "check_reduction_cube", "contains_by_enumeration", "dimension_condition",
     "f2_polynomial_ring", "get_ring", "graded_ideal_slice", "hom_kernel_slice",
-    "homs_equal_up_to_degree", "howell_solve", "ideal_contains", "ideal_subset",
+    "homs_equal_up_to_degree", "ideal_contains", "ideal_subset",
     "index_h1_z_product", "index_join", "index_product_groups",
     "index_product_spheres_f2", "index_product_spheres_z",
     "index_rep_sphere_z2k", "index_sphere_r4j_f2", "index_sphere_r4j_z",

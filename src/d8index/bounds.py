@@ -21,14 +21,13 @@ and the mechanical verifiers of the inclusion lemmas that show the Z
 criterion never improves on the upper bound.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .indexes import index_product_spheres_z, index_sphere_r4j_z, pi_poly
 from .poly import ideal_contains, ideal_subset
 from .rings import H1_F2, YW_F2
 
 __all__ = [
-    "CRITERIA",
     "CRITERION_REGISTRY",
     "AdmissibilityVerdict",
     "BoundReport",
@@ -59,8 +58,7 @@ class AdmissibilityVerdict:
     witness: str
 
     def to_dict(self):
-        return {"d": self.d, "j": self.j, "criterion": self.criterion,
-                "certified": self.certified, "witness": self.witness}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,7 @@ class BoundReport:
     scan_cap: int
 
     def to_dict(self):
-        return {"j": self.j, "ramos_lower": self.ramos_lower,
-                "mvz_upper": self.mvz_upper, "f2_min_d": self.f2_min_d,
-                "z_min_d": self.z_min_d, "h1_min_d": self.h1_min_d,
-                "scan_cap": self.scan_cap}
+        return asdict(self)
 
 
 def _check_positive(**kwargs):
@@ -162,9 +157,6 @@ CRITERION_REGISTRY = {
     "Z_D8": ("z", admissible_z),
     "H1_F2": ("h1f2", admissible_h1_f2),
 }
-
-CRITERIA = tuple(CRITERION_REGISTRY)
-
 
 def admissible(d, j, criterion):
     try:

@@ -10,12 +10,16 @@ Z[Y,M,W]/(2Y,2M,4W,M^2-WY) (deg Y=2, W=4); both satisfy the recurrence
 p_0 = 0, p_1 = y, p_{d+1} = y*p_d + w*p_{d-1}, equivalently the
 generating function y/(1-y-w), and expand to
 sum_i binom(d-1-i, i) w^i y^{d-2i} with mod-2 binomial coefficients.
+
+The module ends with the identities the bounds rest on, each stated
+once with its range, if any, as its only parameter: `verify` and the
+tests call the same body, each with its own range.
 """
 
 from dataclasses import dataclass, field
 
-from .homs import lift_bound_to_full
-from .poly import slice_intersection_is_zero
+from .homs import MOD2_REDUCTION, RingHom, lift_bound_to_full, restriction
+from .poly import ideal_subset, slice_intersection_is_zero
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, RingPresentation,
                     YW_F2, Z2xZ2_F2, Z2xZ2_Z, f2_polynomial_ring)
 
@@ -26,8 +30,6 @@ __all__ = [
     "pi_poly_binomial",
     "capital_pi_poly",
     "capital_pi_poly_binomial",
-    "GENERATING_FUNCTION_DEGREE",
-    "capital_pi_generating_function_holds",
     "rho_poly",
     "pi_in_d8",
     "index_sphere_r4j_f2",
@@ -40,6 +42,17 @@ __all__ = [
     "index_product_groups",
     "index_h1_z_product",
     "join_scheme_obstruction",
+    "recurrence_matches_binomial",
+    "capital_pi_powers_of_two_hold",
+    "GENERATING_FUNCTION_DEGREE",
+    "capital_pi_generating_function_holds",
+    "pi_restricts_to_rho",
+    "rho_recurrence_holds",
+    "capital_pi_reduces_to_pi",
+    "join_gives_sphere_index",
+    "full_index_restriction_images_hold",
+    "product_index_chains_shrink",
+    "two_plane_sphere_index_matches_h1",
 ]
 
 
@@ -75,6 +88,8 @@ _PI_CACHE = {}
 
 def _pi_family(ring, y_sym, w_sym, d):
     """The recurrence family p_0=0, p_1=y, p_{d+1} = y*p_d + w*p_{d-1}."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     key = (ring, y_sym, w_sym)
     chain = _PI_CACHE.setdefault(key, [ring.zero(), ring.gen(y_sym)])
     y, w = ring.gen(y_sym), ring.gen(w_sym)
@@ -84,61 +99,33 @@ def _pi_family(ring, y_sym, w_sym, d):
 
 
 def _pi_binomial(ring, y_sym, w_sym, d):
+    if d < 0:
+        raise ValueError("d must be >= 0")
     y, w = ring.gen(y_sym), ring.gen(w_sym)
     total = ring.zero()
-    for i in range(d // 2 + 1):
-        n = d - 1 - i
-        if n < 0:
-            continue
-        if lucas_binom_mod2(n, i):
+    for i in range((d + 1) // 2):  # binom(d-1-i, i) = 0 for larger i
+        if lucas_binom_mod2(d - 1 - i, i):
             total = total + w ** i * y ** (d - 2 * i)
     return total
 
 
 def pi_poly(d):
     """pi_d in F2[y,w], computed by the recurrence."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
     return _pi_family(YW_F2, "y", "w", d)
 
 
 def pi_poly_binomial(d):
     """pi_d by direct binomial expansion; cross-check for pi_poly."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
     return _pi_binomial(YW_F2, "y", "w", d)
 
 
 def capital_pi_poly(d):
     """Pi_d in the bound ring, homogeneous of degree 2d."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
     return _pi_family(D8_Z_BOUND, "Y", "W", d)
 
 
 def capital_pi_poly_binomial(d):
-    if d < 0:
-        raise ValueError("d must be >= 0")
     return _pi_binomial(D8_Z_BOUND, "Y", "W", d)
-
-
-GENERATING_FUNCTION_DEGREE = 40
-
-
-def capital_pi_generating_function_holds():
-    """True iff sum_d Pi_d equals y/(1-y-w) = sum_n y*(y+w)^n in the
-    bound ring up to degree GENERATING_FUNCTION_DEGREE; y*(y+w)^n starts
-    in degree 2n+2 and Pi_d has degree 2d."""
-    top = GENERATING_FUNCTION_DEGREE
-    Y, W = D8_Z_BOUND.gen("Y"), D8_Z_BOUND.gen("W")
-    series, power = D8_Z_BOUND.zero(), D8_Z_BOUND.one()
-    for _ in range(top // 2):
-        series = series + Y * power
-        power = power * (Y + W)
-    truncated = D8_Z_BOUND.element({m: c for m, c in series.terms.items()
-                                    if D8_Z_BOUND.monomial_degree(m) <= top})
-    return truncated == sum((capital_pi_poly(d) for d in range(top // 2 + 1)),
-                            D8_Z_BOUND.zero())
 
 
 def pi_in_d8(d):
@@ -148,6 +135,8 @@ def pi_in_d8(d):
 
 def rho_poly(d):
     """rho_d = a^d + (a+b)^d in F2[a,b], the restriction of pi_d."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return a ** d + (a + b) ** d
 
@@ -330,3 +319,95 @@ def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
         return all(slice_intersection_is_zero(x_gen, sphere, n)
                    for n in range(1, degree_cap + 1))
     raise ValueError(f"unknown coefficient system {coeff!r}")
+
+
+# -------------------------------------------------------------- identities
+
+def recurrence_matches_binomial(top):
+    """pi_d and Pi_d by the recurrence equal their binomial expansions
+    for every d <= top."""
+    return all(pi_poly(d) == pi_poly_binomial(d)
+               and capital_pi_poly(d) == capital_pi_poly_binomial(d)
+               for d in range(top + 1))
+
+
+def capital_pi_powers_of_two_hold(q_top):
+    """Pi_(2^q) = its binomial expansion = Y^(2^q) for 1 <= q <= q_top."""
+    return all(capital_pi_poly(2 ** q) == capital_pi_poly_binomial(2 ** q)
+               == D8_Z_BOUND.gen("Y") ** (2 ** q) for q in range(1, q_top + 1))
+
+
+GENERATING_FUNCTION_DEGREE = 40
+
+
+def capital_pi_generating_function_holds():
+    """True iff sum_d Pi_d equals y/(1-y-w) = sum_n y*(y+w)^n in the
+    bound ring up to degree GENERATING_FUNCTION_DEGREE; y*(y+w)^n starts
+    in degree 2n+2 and Pi_d has degree 2d."""
+    top = GENERATING_FUNCTION_DEGREE
+    Y, W = D8_Z_BOUND.gen("Y"), D8_Z_BOUND.gen("W")
+    series, power = D8_Z_BOUND.zero(), D8_Z_BOUND.one()
+    for _ in range(top // 2):
+        series = series + Y * power
+        power = power * (Y + W)
+    truncated = D8_Z_BOUND.element({m: c for m, c in series.terms.items()
+                                    if D8_Z_BOUND.monomial_degree(m) <= top})
+    return truncated == sum((capital_pi_poly(d) for d in range(top // 2 + 1)),
+                            D8_Z_BOUND.zero())
+
+
+def pi_restricts_to_rho(top):
+    """res_H1(pi_d) = rho_d for every d <= top."""
+    res = restriction("D8", "H1", "F2")
+    return all(res(pi_in_d8(d)) == rho_poly(d) for d in range(top + 1))
+
+
+def rho_recurrence_holds(top):
+    """rho_(d+2) = b*rho_(d+1) + a(a+b)*rho_d for every d <= top."""
+    a, b = H1_F2.gen("a"), H1_F2.gen("b")
+    return all(rho_poly(d + 2) == b * rho_poly(d + 1) + a * (a + b) * rho_poly(d)
+               for d in range(top + 1))
+
+
+def capital_pi_reduces_to_pi(top):
+    """Mod-2 reduction of Pi_d, lifted to the full ring, is pi_2d for
+    every d <= top."""
+    mod2 = MOD2_REDUCTION["D8"]
+    return all(mod2(lift_bound_to_full(capital_pi_poly(d))) == pi_in_d8(2 * d)
+               for d in range(top + 1))
+
+
+def join_gives_sphere_index():
+    """<w> join <y> is the sphere index <y*w> of S(R4)."""
+    w = IndexIdeal(D8_F2, (D8_F2.gen("w"),), full=True, partial_k=None)
+    y = IndexIdeal(D8_F2, (D8_F2.gen("y"),), full=True, partial_k=None)
+    return index_join(w, y).gens == index_sphere_r4j_f2(1).gens
+
+
+def full_index_restriction_images_hold(top):
+    """res_H1 sends the full index of S^d x S^d to rho_(d+1), rho_(d+2)
+    and (a(a+b))^(d+1) for 1 <= d <= top."""
+    res = restriction("D8", "H1", "F2")
+    a, b = H1_F2.gen("a"), H1_F2.gen("b")
+    return all([res(g) for g in index_product_spheres_f2(d, "full").gens]
+               == [*map(rho_poly, (d + 1, d + 2)), (a * (a + b)) ** (d + 1)]
+               for d in range(1, top + 1))
+
+
+def product_index_chains_shrink(top):
+    """The F2 and Z indexes of S^(d+1) x S^(d+1) lie inside those of
+    S^d x S^d for 1 <= d <= top."""
+    return all(ideal_subset(family(d + 1).gens, family(d).gens)
+               for d in range(1, top + 1)
+               for family in (index_product_spheres_f2, index_product_spheres_z))
+
+
+def two_plane_sphere_index_matches_h1():
+    """The (Z2)^2 index <t1*t2> of the 2-plane sphere, renamed by
+    t1 -> a, t2 -> a+b, is res_H1(w) = a(a+b)."""
+    a, b = H1_F2.gen("a"), H1_F2.gen("b")
+    rename = RingHom(Z2xZ2_F2, H1_F2, {"t1": "a", "t2": "a+b"})
+    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2).gens
+    return (rep == (Z2xZ2_F2.parse("t1*t2"),)
+            and restriction("D8", "H1", "F2")(D8_F2.gen("w")) == a * (a + b)
+            and rename(rep[0]) == a * (a + b))

@@ -12,11 +12,11 @@ span (Howell, Lin. Multilin. Alg. 19, 1986; Storjohann-Mulders, ESA
 reduces to zero.  Membership, the order of the span and, through
 tracking coordinates, the kernel of a column matrix are all read off
 it.  With `mask4 == 0` it is plain F2 elimination on bitmasks.
+Every entry point takes packed vectors; callers pack their own.
 """
 
 __all__ = [
     "howell_basis",
-    "howell_solve",
     "z4_in_span",
     "z4_log2_order",
     "z4_kernel",
@@ -102,16 +102,3 @@ def z4_kernel(columns, mask4, domain_mask4):
     basis = howell_basis(reversed(rows), mask)
     return [basis[k] for k in sorted(basis, reverse=True) if k < p]
 
-
-def _pack(values):
-    return (sum((v & 1) << i for i, v in enumerate(values)),
-            sum((v >> 1 & 1) << i for i, v in enumerate(values)))
-
-
-def howell_solve(columns, target):
-    """True iff `target` is a Z/4-linear combination of `columns`, all
-    given as sequences of ints over (Z/4)^n."""
-    target, columns = list(target), list(columns)
-    if any(len(c) != len(target) for c in columns):
-        raise ValueError("dimension mismatch")
-    return z4_in_span(map(_pack, columns), _pack(target), (1 << len(target)) - 1)

@@ -18,7 +18,6 @@ subgroups, for both coefficient systems, keyed by stable identifiers.
 import re
 
 __all__ = [
-    "Monomial",
     "RingMismatchError",
     "ElementParseError",
     "GradedSlice",
@@ -29,9 +28,6 @@ __all__ = [
     "f2_polynomial_ring",
     "YW_F2",
 ]
-
-Monomial = tuple
-
 
 class RingMismatchError(ValueError):
     """Operands belong to different ring presentations."""

@@ -4,7 +4,9 @@ Each suite returns a list of Check records; a suite passes when every
 check does.  The suites re-run, at machine speed, the identities the
 library is built on: the inclusion lemma sweeps, the restriction
 diagram commutativity, the index identities, and the agreement of the
-linear-algebra membership decision with brute-force enumeration.
+linear-algebra membership decision with brute-force enumeration.  Each
+index identity has one body in `indexes`; a suite only sets its range
+and its label, as the tests do with theirs.
 """
 
 import math
@@ -12,15 +14,12 @@ import random
 from dataclasses import dataclass
 
 from . import bounds, indexes
-from .homs import (F2_DIAGRAM, MOD2_REDUCTION, RingHom, Z_DIAGRAM,
-                   check_reduction_cube, lift_bound_to_full, restriction)
-from .poly import (contains_by_enumeration, graded_ideal_slice, ideal_contains,
-                   ideal_subset)
-from .rings import CATALOG, D8_F2, H1_F2, YW_F2, Z2xZ2_F2
+from .homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM, check_reduction_cube,
+                   restriction)
+from .poly import contains_by_enumeration, graded_ideal_slice, ideal_contains
+from .rings import CATALOG, H1_F2, YW_F2
 
 __all__ = ["Check", "SUITE_NAMES", "run_suite", "random_homogeneous"]
-
-SUITE_NAMES = ("lemmas", "diagram", "indexes", "oracle")
 
 
 @dataclass(frozen=True)
@@ -38,31 +37,21 @@ def _check(name, ok, detail=""):
 
 def suite_lemmas(max_degree=None):
     del max_degree  # the sweep ranges below are fixed
-    checks = []
-
-    ok = all(indexes.lucas_binom_mod2(n, k) == math.comb(n, k) % 2
-             for n in range(64) for k in range(n + 1))
-    checks.append(_check("binomial parity rule, n < 64", ok))
-
-    ok = all(indexes.capital_pi_poly(2 ** q)
-             == indexes.capital_pi_poly_binomial(2 ** q)
-             == CATALOG["D8_Z_BOUND"].gen("Y") ** (2 ** q)
-             for q in range(1, 7))
-    checks.append(_check("Pi at powers of two collapses to Y^(2^q), q <= 6", ok))
-
-    for q in range(1, 5):
-        checks.append(_check(f"A_(2^{q}) inside B_(2^{q + 1}-1)",
-                             bounds.verify_inclusion_power_case(q)))
-
-    ok = all(bounds.verify_inclusion_step(j, d)
-             for j in range(1, 13) for d in range(1, 25))
-    checks.append(_check("inclusion step A_j->A_(j+1), j <= 12, d <= 24", ok))
-
-    ok = all(bounds.verify_membership_transfer(d, j)
-             for d in range(1, 21) for j in range(1, 11))
-    checks.append(_check("membership transfer in F2[a,c], d <= 20, j <= 10", ok))
-
-    return checks
+    return [
+        _check("binomial parity rule, n < 64",
+               all(indexes.lucas_binom_mod2(n, k) == math.comb(n, k) % 2
+                   for n in range(64) for k in range(n + 1))),
+        _check("Pi at powers of two collapses to Y^(2^q), q <= 6",
+               indexes.capital_pi_powers_of_two_hold(6)),
+        *(_check(f"A_(2^{q}) inside B_(2^{q + 1}-1)",
+                 bounds.verify_inclusion_power_case(q)) for q in range(1, 5)),
+        _check("inclusion step A_j->A_(j+1), j <= 12, d <= 24",
+               all(bounds.verify_inclusion_step(j, d)
+                   for j in range(1, 13) for d in range(1, 25))),
+        _check("membership transfer in F2[a,c], d <= 20, j <= 10",
+               all(bounds.verify_membership_transfer(d, j)
+                   for d in range(1, 21) for j in range(1, 11))),
+    ]
 
 
 # ----------------------------------------------------------------- diagram
@@ -119,79 +108,32 @@ def suite_diagram(max_degree=12):
 # ----------------------------------------------------------------- indexes
 
 def suite_indexes(max_degree=64):
-    checks = []
     cap = max_degree
-
-    ok = all(indexes.pi_poly(d) == indexes.pi_poly_binomial(d)
-             for d in range(cap + 1))
-    ok = ok and all(indexes.capital_pi_poly(d)
-                    == indexes.capital_pi_poly_binomial(d)
-                    for d in range(cap + 1))
-    checks.append(_check(f"recurrence matches binomial expansion, d <= {cap}", ok))
-
-    checks.append(_check("generating function y/(1-y-w) to degree "
-                         f"{indexes.GENERATING_FUNCTION_DEGREE}",
-                         indexes.capital_pi_generating_function_holds()))
-
-    res_h1 = restriction("D8", "H1", "F2")
-    ok = all(res_h1(indexes.pi_in_d8(d)) == indexes.rho_poly(d)
-             for d in range(cap + 1))
-    checks.append(_check(f"restriction of pi_d is rho_d, d <= {cap}", ok))
-
-    a, b = H1_F2.gen("a"), H1_F2.gen("b")
-    ok = all(indexes.rho_poly(d + 2)
-             == b * indexes.rho_poly(d + 1) + a * (a + b) * indexes.rho_poly(d)
-             for d in range(cap + 1))
-    checks.append(_check(f"rho recurrence, d <= {cap}", ok))
-
-    c_d8 = MOD2_REDUCTION["D8"]
-    ok = all(c_d8(lift_bound_to_full(indexes.capital_pi_poly(d)))
-             == indexes.pi_in_d8(2 * d) for d in range(cap + 1))
-    checks.append(_check(f"mod-2 reduction of Pi_d is pi_2d, d <= {cap}", ok))
-
-    joined = indexes.index_join(
-        indexes.IndexIdeal(D8_F2, (D8_F2.gen("w"),), True, None, "S(V2), D8, F2"),
-        indexes.IndexIdeal(D8_F2, (D8_F2.gen("y"),), True, None, "S(V1), D8, F2"))
-    checks.append(_check("join of <w> and <y> is the sphere index <y*w>",
-                         joined.gens == indexes.index_sphere_r4j_f2(1).gens))
-
-    ok = all(indexes.join_scheme_obstruction(j, "F2") for j in range(1, 11))
-    checks.append(_check("join scheme gives no mod-2 obstruction, j <= 10", ok))
-
-    ok = all(indexes.join_scheme_obstruction(j, "Z") for j in range(1, 11))
-    checks.append(_check("join scheme gives no integral obstruction, j <= 10", ok))
-
-    ok = True
-    for d in range(1, 21):
-        full = indexes.index_product_spheres_f2(d, "full")
-        images = [res_h1(g) for g in full.gens]
-        expected = [indexes.rho_poly(d + 1), indexes.rho_poly(d + 2),
-                    (a * (a + b)) ** (d + 1)]
-        if images != expected:
-            ok = False
-    checks.append(_check("full-index restriction images, d <= 20", ok))
-
-    ok = True
     chain_cap = min(cap, 30)
-    for d in range(1, chain_cap + 1):
-        f2_next = indexes.index_product_spheres_f2(d + 1).gens
-        f2_here = indexes.index_product_spheres_f2(d).gens
-        z_next = indexes.index_product_spheres_z(d + 1).gens
-        z_here = indexes.index_product_spheres_z(d).gens
-        if not (ideal_subset(f2_next, f2_here) and ideal_subset(z_next, z_here)):
-            ok = False
-    checks.append(_check(
-        f"product index chains shrink as d grows, d <= {chain_cap}", ok))
-
-    rep = indexes.index_rep_sphere_z2k([(-1, 1), (1, -1)], 2)
-    t1, t2 = Z2xZ2_F2.gen("t1"), Z2xZ2_F2.gen("t2")
-    rename = RingHom(Z2xZ2_F2, H1_F2, {"t1": "a", "t2": "a+b"}, "t->H1")
-    ok = (rep.gens == (t1 * t2,)
-          and res_h1(D8_F2.gen("w")) == a * (a + b)
-          and rename(rep.gens[0]) == a * (a + b))
-    checks.append(_check("sphere index of the 2-plane matches the H1 value", ok))
-
-    return checks
+    return [
+        _check(f"recurrence matches binomial expansion, d <= {cap}",
+               indexes.recurrence_matches_binomial(cap)),
+        _check("generating function y/(1-y-w) to degree "
+               f"{indexes.GENERATING_FUNCTION_DEGREE}",
+               indexes.capital_pi_generating_function_holds()),
+        _check(f"restriction of pi_d is rho_d, d <= {cap}",
+               indexes.pi_restricts_to_rho(cap)),
+        _check(f"rho recurrence, d <= {cap}", indexes.rho_recurrence_holds(cap)),
+        _check(f"mod-2 reduction of Pi_d is pi_2d, d <= {cap}",
+               indexes.capital_pi_reduces_to_pi(cap)),
+        _check("join of <w> and <y> is the sphere index <y*w>",
+               indexes.join_gives_sphere_index()),
+        _check("join scheme gives no mod-2 obstruction, j <= 10",
+               all(indexes.join_scheme_obstruction(j, "F2") for j in range(1, 11))),
+        _check("join scheme gives no integral obstruction, j <= 10",
+               all(indexes.join_scheme_obstruction(j, "Z") for j in range(1, 11))),
+        _check("full-index restriction images, d <= 20",
+               indexes.full_index_restriction_images_hold(20)),
+        _check(f"product index chains shrink as d grows, d <= {chain_cap}",
+               indexes.product_index_chains_shrink(chain_cap)),
+        _check("sphere index of the 2-plane matches the H1 value",
+               indexes.two_plane_sphere_index_matches_h1()),
+    ]
 
 
 # ------------------------------------------------------------------ oracle
@@ -266,6 +208,8 @@ _SUITES = {
     "indexes": suite_indexes,
     "oracle": suite_oracle,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, max_degree=None):

@@ -6,22 +6,18 @@ Everything here is exact arithmetic; there are no tolerances.
 
 from d8index.bounds import (a_ideal, admissible, b_ideal, min_certified_d,
                             mvz_upper, ramos_lower)
-from d8index.homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM,
-                          check_reduction_cube, lift_bound_to_full,
-                          restriction)
-from d8index.indexes import (GENERATING_FUNCTION_DEGREE, IndexIdeal,
+from d8index.homs import F2_DIAGRAM, Z_DIAGRAM, check_reduction_cube
+from d8index.indexes import (GENERATING_FUNCTION_DEGREE,
                              capital_pi_generating_function_holds,
-                             capital_pi_poly, capital_pi_poly_binomial, index_join,
-                             index_product_spheres_f2, index_sphere_r4j_f2,
-                             join_scheme_obstruction, pi_in_d8, pi_poly,
-                             pi_poly_binomial, rho_poly)
+                             capital_pi_powers_of_two_hold,
+                             capital_pi_reduces_to_pi,
+                             full_index_restriction_images_hold,
+                             join_gives_sphere_index, join_scheme_obstruction,
+                             pi_restricts_to_rho, recurrence_matches_binomial,
+                             rho_recurrence_holds)
 from d8index.poly import ideal_subset
-from d8index.rings import get_ring
+from d8index.rings import CATALOG
 from d8index.verify import suite_oracle
-
-BOUND = get_ring("D8_Z_BOUND")
-D8 = get_ring("D8_F2")
-H1 = get_ring("H1_F2")
 
 
 def _report(num, description, failures):
@@ -71,30 +67,16 @@ def test_criterion_3_no_improvement_for_z():
 
 
 def test_criterion_4_polynomial_identities():
-    failures = []
-    if not all(pi_poly(d) == pi_poly_binomial(d)
-               and capital_pi_poly(d) == capital_pi_poly_binomial(d)
-               for d in range(129)):
-        failures.append("recurrence vs binomial, d <= 128")
-    if not all(capital_pi_poly(2 ** q) == BOUND.gen("Y") ** (2 ** q)
-               for q in range(1, 7)):
-        failures.append("Pi at powers of two")
-
-    if not capital_pi_generating_function_holds():
-        failures.append(f"generating function to degree {GENERATING_FUNCTION_DEGREE}")
-
-    res = restriction("D8", "H1", "F2")
-    a, b = H1.gen("a"), H1.gen("b")
-    if not all(res(pi_in_d8(d)) == rho_poly(d) for d in range(65)):
-        failures.append("restriction of pi_d, d <= 64")
-    if not all(rho_poly(d + 2) == b * rho_poly(d + 1) + a * (a + b) * rho_poly(d)
-               for d in range(65)):
-        failures.append("rho recurrence, d <= 64")
-
-    c = MOD2_REDUCTION["D8"]
-    if not all(c(lift_bound_to_full(capital_pi_poly(d))) == pi_in_d8(2 * d)
-               for d in range(65)):
-        failures.append("reduction of Pi_d, d <= 64")
+    identities = {
+        "recurrence vs binomial, d <= 128": recurrence_matches_binomial(128),
+        "Pi at powers of two": capital_pi_powers_of_two_hold(6),
+        f"generating function to degree {GENERATING_FUNCTION_DEGREE}":
+            capital_pi_generating_function_holds(),
+        "restriction of pi_d, d <= 64": pi_restricts_to_rho(64),
+        "rho recurrence, d <= 64": rho_recurrence_holds(64),
+        "reduction of Pi_d, d <= 64": capital_pi_reduces_to_pi(64),
+    }
+    failures = [label for label, ok in identities.items() if not ok]
     _report(4, "pi/Pi/rho identities hold on their full sweeps", failures)
 
 
@@ -113,22 +95,15 @@ def test_criterion_5_restriction_diagrams():
 
 def test_criterion_6_index_catalog_consistency():
     failures = []
-    w_ideal = IndexIdeal(D8, (D8.gen("w"),), True, None, "S(V2)")
-    y_ideal = IndexIdeal(D8, (D8.gen("y"),), True, None, "S(V1)")
-    if index_join(w_ideal, y_ideal).gens != index_sphere_r4j_f2(1).gens:
+    if not join_gives_sphere_index():
         failures.append("join <w>*<y>")
-    x = D8.gen("x")
     for j in range(1, 11):
-        if x * index_sphere_r4j_f2(j).gens[0] != D8.zero():
+        if not join_scheme_obstruction(j, "F2"):
             failures.append(f"x*y^{j}*w^{j}")
-        if not join_scheme_obstruction(j, "Z", 3 * j + 6):
+        if not join_scheme_obstruction(j, "Z"):
             failures.append(f"<X> meets the integral sphere index, j={j}")
-    res = restriction("D8", "H1", "F2")
-    a, b = H1.gen("a"), H1.gen("b")
-    for d in range(1, 21):
-        images = [res(g) for g in index_product_spheres_f2(d, "full").gens]
-        if images != [rho_poly(d + 1), rho_poly(d + 2), (a * (a + b)) ** (d + 1)]:
-            failures.append(f"full-index restriction images, d={d}")
+    if not full_index_restriction_images_hold(20):
+        failures.append("full-index restriction images, d <= 20")
     _report(6, "join, join-scheme vanishing, and restriction images agree",
             failures)
 
@@ -136,6 +111,8 @@ def test_criterion_6_index_catalog_consistency():
 def test_criterion_7_oracle_equivalence():
     checks = suite_oracle(count=500)
     failures = [(c.name, c.detail) for c in checks if not c.ok]
+    if len(checks) != len(CATALOG):
+        failures.append(f"{len(checks)} oracle checks for {len(CATALOG)} rings")
     _report(7, "elimination matches brute-force enumeration on 500 random "
                "instances per ring", failures)
 

@@ -157,8 +157,9 @@ def test_poly_families(capsys):
     assert code == 0 and out.strip() == "Y^3+W*Y"
     code, out, _ = run(capsys, "poly", "--family", "rho", "--d", "2")
     assert code == 0 and out.strip() == "b^2"
-    code, _, _ = run(capsys, "poly", "--family", "pi", "--d", "-1")
-    assert code == 2
+    for family in ("pi", "Pi", "rho"):
+        code, _, err = run(capsys, "poly", "--family", family, "--d", "-1")
+        assert code == 2 and err == "d must be >= 0\n"
 
 
 def test_restrict(capsys):

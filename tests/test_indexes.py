@@ -2,21 +2,22 @@ import math
 
 import pytest
 
-from d8index.homs import MOD2_REDUCTION, lift_bound_to_full, restriction
 from d8index.indexes import (capital_pi_poly, capital_pi_poly_binomial,
                              index_h1_z_product, index_join,
                              index_product_groups, index_product_spheres_f2,
                              index_product_spheres_z, index_rep_sphere_z2k,
                              index_sphere_r4j_f2, index_sphere_r4j_z,
                              index_torus_z2k, IndexIdeal,
-                             join_scheme_obstruction, lucas_binom_mod2,
-                             pi_in_d8, pi_poly, pi_poly_binomial, rho_poly)
+                             join_gives_sphere_index, join_scheme_obstruction,
+                             lucas_binom_mod2, pi_in_d8, pi_poly,
+                             pi_poly_binomial, product_index_chains_shrink,
+                             recurrence_matches_binomial, rho_poly,
+                             two_plane_sphere_index_matches_h1)
 from d8index.poly import ideal_subset
 from d8index.rings import YW_F2, f2_polynomial_ring, get_ring
 
 D8 = get_ring("D8_F2")
 BOUND = get_ring("D8_Z_BOUND")
-H1 = get_ring("H1_F2")
 
 
 def test_lucas_examples():
@@ -46,17 +47,21 @@ def test_capital_pi_examples():
     assert capital_pi_poly(0) == BOUND.zero()
     assert capital_pi_poly(2) == BOUND.parse("Y^2")
     assert capital_pi_poly(8) == BOUND.parse("Y^8")
-    for q in range(1, 7):
-        assert capital_pi_poly(2 ** q) == BOUND.gen("Y") ** (2 ** q)
 
 
 def test_recurrence_matches_binomial():
-    for d in range(80):
-        assert pi_poly(d) == pi_poly_binomial(d)
-        assert capital_pi_poly(d) == capital_pi_poly_binomial(d)
-        if d:
-            assert pi_poly(d).degree() == d
-            assert capital_pi_poly(d).degree() == 2 * d
+    assert recurrence_matches_binomial(79)
+    for d in range(1, 80):
+        assert pi_poly(d).degree() == d
+        assert capital_pi_poly(d).degree() == 2 * d
+
+
+def test_negative_d_rejected():
+    pi_in_d8(5)  # a cached chain must not answer for d = -1
+    for family in (pi_poly, pi_poly_binomial, capital_pi_poly,
+                   capital_pi_poly_binomial, pi_in_d8, rho_poly):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            family(-1)
 
 
 def test_sphere_index_f2():
@@ -99,11 +104,7 @@ def test_product_spheres_z():
 
 
 def test_product_index_chains_shrink():
-    for d in range(1, 31):
-        assert ideal_subset(index_product_spheres_f2(d + 1).gens,
-                            index_product_spheres_f2(d).gens)
-        assert ideal_subset(index_product_spheres_z(d + 1).gens,
-                            index_product_spheres_z(d).gens)
+    assert product_index_chains_shrink(30)
 
 
 def test_rep_sphere_index():
@@ -131,9 +132,7 @@ def test_torus_index():
 
 
 def test_join():
-    w_ideal = IndexIdeal(D8, (D8.gen("w"),), True, None, "S(V2)")
-    y_ideal = IndexIdeal(D8, (D8.gen("y"),), True, None, "S(V1)")
-    assert index_join(w_ideal, y_ideal).gens == index_sphere_r4j_f2(1).gens
+    assert join_gives_sphere_index()
     x_ideal = IndexIdeal(D8, (D8.gen("x"),), True, None, "S(U2)")
     for j in (1, 3):
         joined = index_join(x_ideal, index_sphere_r4j_f2(j))
@@ -178,55 +177,5 @@ def test_join_scheme_obstruction():
         join_scheme_obstruction(1, "Q")
 
 
-def test_generating_function_truncation():
-    Y, W = BOUND.gen("Y"), BOUND.gen("W")
-    series = BOUND.zero()
-    power = BOUND.one()
-    for _ in range(20):
-        series = series + Y * power
-        power = power * (Y + W)
-    truncated = BOUND.element({m: c for m, c in series.terms.items()
-                               if BOUND.monomial_degree(m) <= 40})
-    total = BOUND.zero()
-    for d in range(21):
-        total = total + capital_pi_poly(d)
-    assert truncated == total
-
-
-def test_restriction_of_pi_is_rho():
-    res = restriction("D8", "H1", "F2")
-    for d in range(33):
-        assert res(pi_in_d8(d)) == rho_poly(d)
-
-
-def test_rho_recurrence():
-    a, b = H1.gen("a"), H1.gen("b")
-    for d in range(33):
-        assert rho_poly(d + 2) == b * rho_poly(d + 1) + a * (a + b) * rho_poly(d)
-
-
-def test_reduction_of_capital_pi():
-    c = MOD2_REDUCTION["D8"]
-    for d in range(33):
-        assert c(lift_bound_to_full(capital_pi_poly(d))) == pi_in_d8(2 * d)
-
-
-def test_full_index_restriction_images():
-    res = restriction("D8", "H1", "F2")
-    a, b = H1.gen("a"), H1.gen("b")
-    for d in range(1, 21):
-        images = [res(g) for g in index_product_spheres_f2(d, "full").gens]
-        assert images == [rho_poly(d + 1), rho_poly(d + 2),
-                          (a * (a + b)) ** (d + 1)]
-
-
 def test_sphere_index_consistent_with_h1_value():
-    from d8index.homs import RingHom
-    ring = get_ring("Z2xZ2_F2")
-    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2)
-    assert rep.gens == (ring.parse("t1*t2"),)
-    res = restriction("D8", "H1", "F2")
-    a, b = H1.gen("a"), H1.gen("b")
-    assert res(D8.gen("w")) == a * (a + b)
-    rename = RingHom(ring, H1, {"t1": "a", "t2": "a+b"})
-    assert rename(rep.gens[0]) == a * (a + b)
+    assert two_plane_sphere_index_matches_h1()

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from d8index.linalg import (howell_basis, howell_solve, z4_in_span,
-                            z4_kernel, z4_log2_order)
+from d8index.linalg import howell_basis, z4_in_span, z4_kernel, z4_log2_order
 
 
 def _pack(values):
@@ -22,19 +21,20 @@ def _z4_mask(width):
     return (1 << width) - 1
 
 
+def _solvable(columns, target):
+    """Whether `target` is a Z/4-combination of `columns`, all in (Z/4)^n."""
+    return z4_in_span([_pack(c) for c in columns], _pack(target),
+                      _z4_mask(len(target)))
+
+
 def test_howell_solve_scalar_cases():
-    assert howell_solve([(2,)], (2,)) is True
-    assert howell_solve([(2,)], (1,)) is False
+    assert _solvable([(2,)], (2,)) is True
+    assert _solvable([(2,)], (1,)) is False
 
 
 def test_howell_solve_two_columns():
     # exhausting all 16 coefficient pairs confirms (1,3) = 1*(1,1) + 1*(0,2)
-    assert howell_solve([(1, 1), (0, 2)], (1, 3)) is True
-
-
-def test_howell_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        howell_solve([(1, 2)], (1,))
+    assert _solvable([(1, 1), (0, 2)], (1, 3)) is True
 
 
 def _brute_span(columns, orders):
@@ -55,7 +55,7 @@ def test_howell_solve_matches_brute_force(seed):
     span = _brute_span(columns, [4] * width)
     for _ in range(20):
         target = tuple(rng.randrange(4) for _ in range(width))
-        assert howell_solve(columns, target) == (target in span)
+        assert _solvable(columns, target) == (target in span)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -66,15 +66,15 @@ def test_howell_solve_invariances(seed):
     width = rng.randint(2, 4)
     columns = [tuple(rng.randrange(4) for _ in range(width)) for _ in range(4)]
     target = tuple(rng.randrange(4) for _ in range(width))
-    expected = howell_solve(columns, target)
+    expected = _solvable(columns, target)
 
     shuffled = columns[:]
     rng.shuffle(shuffled)
-    assert howell_solve(shuffled, target) == expected
+    assert _solvable(shuffled, target) == expected
 
     scaled = [tuple((3 * v) % 4 for v in c) if rng.random() < 0.5 else c
               for c in columns]
-    assert howell_solve(scaled, target) == expected
+    assert _solvable(scaled, target) == expected
 
 
 def test_howell_form_pivot_structure():

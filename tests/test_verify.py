@@ -1,0 +1,59 @@
+"""The verify suites keep every check label.  The benchmark counts PASS
+lines, so a dropped or renamed check must fail here first."""
+
+from d8index.verify import run_suite
+
+RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
+         "K2_F2 K3_F2 K4_F2 K5_F2 K3_Z Z2xZ2_F2 Z2xZ2_Z Z2_F2 Z2_Z YW_F2").split()
+
+
+def _labels(name, max_degree=None):
+    checks = run_suite(name, max_degree)
+    assert all(check.ok for check in checks)
+    return [check.name for check in checks]
+
+
+def test_lemmas_labels():
+    assert _labels("lemmas") == [
+        "binomial parity rule, n < 64",
+        "Pi at powers of two collapses to Y^(2^q), q <= 6",
+        "A_(2^1) inside B_(2^2-1)",
+        "A_(2^2) inside B_(2^3-1)",
+        "A_(2^3) inside B_(2^4-1)",
+        "A_(2^4) inside B_(2^5-1)",
+        "inclusion step A_j->A_(j+1), j <= 12, d <= 24",
+        "membership transfer in F2[a,c], d <= 20, j <= 10",
+    ]
+
+
+def test_diagram_labels():
+    assert _labels("diagram", 6) == [
+        *(f"rewrite confluence in {ring}" for ring in RINGS),
+        "normal form is idempotent, 1000 samples per ring",
+        "F2 diagram: 2 route comparisons commute up to degree 6",
+        "Z diagram: 2 route comparisons commute up to degree 6",
+        "mod-2 reduction cube commutes",
+        "order-2 subgroup images fixed as declared",
+        "homomorphisms are multiplicative on samples",
+    ]
+
+
+def _index_labels(cap, chain_cap):
+    return [
+        f"recurrence matches binomial expansion, d <= {cap}",
+        "generating function y/(1-y-w) to degree 40",
+        f"restriction of pi_d is rho_d, d <= {cap}",
+        f"rho recurrence, d <= {cap}",
+        f"mod-2 reduction of Pi_d is pi_2d, d <= {cap}",
+        "join of <w> and <y> is the sphere index <y*w>",
+        "join scheme gives no mod-2 obstruction, j <= 10",
+        "join scheme gives no integral obstruction, j <= 10",
+        "full-index restriction images, d <= 20",
+        f"product index chains shrink as d grows, d <= {chain_cap}",
+        "sphere index of the 2-plane matches the H1 value",
+    ]
+
+
+def test_indexes_labels():
+    assert _labels("indexes") == _index_labels(64, 30)
+    assert _labels("indexes", 6) == _index_labels(6, 6)
