@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from d8index.indexes import (capital_pi_poly, capital_pi_poly_binomial,
+from d8index.indexes import (capital_pi_generating_function_holds,
+                             capital_pi_poly, capital_pi_poly_binomial,
+                             capital_pi_reduces_to_pi,
+                             full_index_restriction_images_hold,
                              index_h1_z_product, index_join,
                              index_product_groups, index_product_spheres_f2,
                              index_product_spheres_z, index_rep_sphere_z2k,
@@ -10,8 +13,10 @@ from d8index.indexes import (capital_pi_poly, capital_pi_poly_binomial,
                              index_torus_z2k, IndexIdeal,
                              join_gives_sphere_index, join_scheme_obstruction,
                              lucas_binom_mod2, pi_in_d8, pi_poly,
-                             pi_poly_binomial, product_index_chains_shrink,
+                             pi_poly_binomial, pi_restricts_to_rho,
+                             product_index_chains_shrink,
                              recurrence_matches_binomial, rho_poly,
+                             rho_recurrence_holds,
                              two_plane_sphere_index_matches_h1)
 from d8index.poly import ideal_subset
 from d8index.rings import YW_F2, f2_polynomial_ring, get_ring
@@ -175,6 +180,26 @@ def test_join_scheme_obstruction():
     assert join_scheme_obstruction(3, "Z")
     with pytest.raises(ValueError):
         join_scheme_obstruction(1, "Q")
+
+
+def test_generating_function_truncation():
+    assert capital_pi_generating_function_holds()
+
+
+def test_restriction_of_pi_is_rho():
+    assert pi_restricts_to_rho(32)
+
+
+def test_rho_recurrence():
+    assert rho_recurrence_holds(32)
+
+
+def test_reduction_of_capital_pi():
+    assert capital_pi_reduces_to_pi(32)
+
+
+def test_full_index_restriction_images():
+    assert full_index_restriction_images_hold(20)
 
 
 def test_sphere_index_consistent_with_h1_value():
