@@ -90,11 +90,7 @@ def cmd_verify(args):
                 print(f"bad MPI_MAX_DEGREE value {env!r}: need an integer "
                       ">= 1", file=sys.stderr)
                 return 2
-    try:
-        checks = verify.run_suite(args.suite, max_degree)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    checks = verify.run_suite(args.suite, max_degree)  # argparse checked the name
     failed = 0
     for check in checks:
         status = "PASS" if check.ok else "FAIL"

@@ -12,8 +12,8 @@ generating function y/(1-y-w), and expand to
 sum_i binom(d-1-i, i) w^i y^{d-2i} with mod-2 binomial coefficients.
 
 The module ends with the identities the bounds rest on, each stated
-once with its range, if any, as its only parameter: `verify` and the
-tests call the same body, each with its own range.
+once.  Where callers sweep different ranges the range is the only
+parameter; where all share one it is a module constant.
 """
 
 from dataclasses import dataclass, field
@@ -43,6 +43,7 @@ __all__ = [
     "index_h1_z_product",
     "join_scheme_obstruction",
     "recurrence_matches_binomial",
+    "POWERS_OF_TWO_Q",
     "capital_pi_powers_of_two_hold",
     "GENERATING_FUNCTION_DEGREE",
     "capital_pi_generating_function_holds",
@@ -50,6 +51,9 @@ __all__ = [
     "rho_recurrence_holds",
     "capital_pi_reduces_to_pi",
     "join_gives_sphere_index",
+    "JOIN_SCHEME_J",
+    "join_scheme_vanishes",
+    "FULL_IMAGES_DEGREE",
     "full_index_restriction_images_hold",
     "product_index_chains_shrink",
     "two_plane_sphere_index_matches_h1",
@@ -305,12 +309,10 @@ def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
 
     With F2 coefficients: x * y^j w^j = 0 in H*(D8;F2).  With Z
     coefficients: the ideal <X> meets the sphere index (lifted to the
-    full ring) only in 0 in every degree up to the cap."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    full ring) only in 0 in every degree up to the cap.  The sphere
+    index rejects j < 1."""
     if coeff == "F2":
-        x, y, w = (D8_F2.gen(s) for s in ("x", "y", "w"))
-        return not (x * y ** j * w ** j)
+        return not (D8_F2.gen("x") * index_sphere_r4j_f2(j).gens[0])
     if coeff == "Z":
         if degree_cap is None:
             degree_cap = 3 * j + 6
@@ -323,6 +325,13 @@ def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
 
 # -------------------------------------------------------------- identities
 
+# the fixed ranges of the identities every caller sweeps alike
+POWERS_OF_TWO_Q = 6
+GENERATING_FUNCTION_DEGREE = 40
+JOIN_SCHEME_J = 10
+FULL_IMAGES_DEGREE = 20
+
+
 def recurrence_matches_binomial(top):
     """pi_d and Pi_d by the recurrence equal their binomial expansions
     for every d <= top."""
@@ -331,13 +340,12 @@ def recurrence_matches_binomial(top):
                for d in range(top + 1))
 
 
-def capital_pi_powers_of_two_hold(q_top):
-    """Pi_(2^q) = its binomial expansion = Y^(2^q) for 1 <= q <= q_top."""
+def capital_pi_powers_of_two_hold():
+    """Pi_(2^q) = its binomial expansion = Y^(2^q) for
+    1 <= q <= POWERS_OF_TWO_Q."""
     return all(capital_pi_poly(2 ** q) == capital_pi_poly_binomial(2 ** q)
-               == D8_Z_BOUND.gen("Y") ** (2 ** q) for q in range(1, q_top + 1))
-
-
-GENERATING_FUNCTION_DEGREE = 40
+               == D8_Z_BOUND.gen("Y") ** (2 ** q)
+               for q in range(1, POWERS_OF_TWO_Q + 1))
 
 
 def capital_pi_generating_function_holds():
@@ -384,14 +392,19 @@ def join_gives_sphere_index():
     return index_join(w, y).gens == index_sphere_r4j_f2(1).gens
 
 
-def full_index_restriction_images_hold(top):
+def join_scheme_vanishes(coeff):
+    """The join-scheme obstruction vanishes for 1 <= j <= JOIN_SCHEME_J."""
+    return all(join_scheme_obstruction(j, coeff) for j in range(1, JOIN_SCHEME_J + 1))
+
+
+def full_index_restriction_images_hold():
     """res_H1 sends the full index of S^d x S^d to rho_(d+1), rho_(d+2)
-    and (a(a+b))^(d+1) for 1 <= d <= top."""
+    and (a(a+b))^(d+1) for 1 <= d <= FULL_IMAGES_DEGREE."""
     res = restriction("D8", "H1", "F2")
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return all([res(g) for g in index_product_spheres_f2(d, "full").gens]
-               == [*map(rho_poly, (d + 1, d + 2)), (a * (a + b)) ** (d + 1)]
-               for d in range(1, top + 1))
+               == [rho_poly(d + 1), rho_poly(d + 2), (a * (a + b)) ** (d + 1)]
+               for d in range(1, FULL_IMAGES_DEGREE + 1))
 
 
 def product_index_chains_shrink(top):

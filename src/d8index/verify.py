@@ -41,8 +41,9 @@ def suite_lemmas(max_degree=None):
         _check("binomial parity rule, n < 64",
                all(indexes.lucas_binom_mod2(n, k) == math.comb(n, k) % 2
                    for n in range(64) for k in range(n + 1))),
-        _check("Pi at powers of two collapses to Y^(2^q), q <= 6",
-               indexes.capital_pi_powers_of_two_hold(6)),
+        _check("Pi at powers of two collapses to Y^(2^q), "
+               f"q <= {indexes.POWERS_OF_TWO_Q}",
+               indexes.capital_pi_powers_of_two_hold()),
         *(_check(f"A_(2^{q}) inside B_(2^{q + 1}-1)",
                  bounds.verify_inclusion_power_case(q)) for q in range(1, 5)),
         _check("inclusion step A_j->A_(j+1), j <= 12, d <= 24",
@@ -123,12 +124,12 @@ def suite_indexes(max_degree=64):
                indexes.capital_pi_reduces_to_pi(cap)),
         _check("join of <w> and <y> is the sphere index <y*w>",
                indexes.join_gives_sphere_index()),
-        _check("join scheme gives no mod-2 obstruction, j <= 10",
-               all(indexes.join_scheme_obstruction(j, "F2") for j in range(1, 11))),
-        _check("join scheme gives no integral obstruction, j <= 10",
-               all(indexes.join_scheme_obstruction(j, "Z") for j in range(1, 11))),
-        _check("full-index restriction images, d <= 20",
-               indexes.full_index_restriction_images_hold(20)),
+        _check("join scheme gives no mod-2 obstruction, "
+               f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("F2")),
+        _check("join scheme gives no integral obstruction, "
+               f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("Z")),
+        _check(f"full-index restriction images, d <= {indexes.FULL_IMAGES_DEGREE}",
+               indexes.full_index_restriction_images_hold()),
         _check(f"product index chains shrink as d grows, d <= {chain_cap}",
                indexes.product_index_chains_shrink(chain_cap)),
         _check("sphere index of the 2-plane matches the H1 value",

@@ -7,12 +7,13 @@ Everything here is exact arithmetic; there are no tolerances.
 from d8index.bounds import (a_ideal, admissible, b_ideal, min_certified_d,
                             mvz_upper, ramos_lower)
 from d8index.homs import F2_DIAGRAM, Z_DIAGRAM, check_reduction_cube
-from d8index.indexes import (GENERATING_FUNCTION_DEGREE,
+from d8index.indexes import (FULL_IMAGES_DEGREE, GENERATING_FUNCTION_DEGREE,
+                             JOIN_SCHEME_J, POWERS_OF_TWO_Q,
                              capital_pi_generating_function_holds,
                              capital_pi_powers_of_two_hold,
                              capital_pi_reduces_to_pi,
                              full_index_restriction_images_hold,
-                             join_gives_sphere_index, join_scheme_obstruction,
+                             join_gives_sphere_index, join_scheme_vanishes,
                              pi_restricts_to_rho, recurrence_matches_binomial,
                              rho_recurrence_holds)
 from d8index.poly import ideal_subset
@@ -69,7 +70,8 @@ def test_criterion_3_no_improvement_for_z():
 def test_criterion_4_polynomial_identities():
     identities = {
         "recurrence vs binomial, d <= 128": recurrence_matches_binomial(128),
-        "Pi at powers of two": capital_pi_powers_of_two_hold(6),
+        f"Pi at powers of two, q <= {POWERS_OF_TWO_Q}":
+            capital_pi_powers_of_two_hold(),
         f"generating function to degree {GENERATING_FUNCTION_DEGREE}":
             capital_pi_generating_function_holds(),
         "restriction of pi_d, d <= 64": pi_restricts_to_rho(64),
@@ -97,13 +99,11 @@ def test_criterion_6_index_catalog_consistency():
     failures = []
     if not join_gives_sphere_index():
         failures.append("join <w>*<y>")
-    for j in range(1, 11):
-        if not join_scheme_obstruction(j, "F2"):
-            failures.append(f"x*y^{j}*w^{j}")
-        if not join_scheme_obstruction(j, "Z"):
-            failures.append(f"<X> meets the integral sphere index, j={j}")
-    if not full_index_restriction_images_hold(20):
-        failures.append("full-index restriction images, d <= 20")
+    for coeff in ("F2", "Z"):
+        if not join_scheme_vanishes(coeff):
+            failures.append(f"{coeff} join-scheme obstruction, j <= {JOIN_SCHEME_J}")
+    if not full_index_restriction_images_hold():
+        failures.append(f"full-index restriction images, d <= {FULL_IMAGES_DEGREE}")
     _report(6, "join, join-scheme vanishing, and restriction images agree",
             failures)
 
