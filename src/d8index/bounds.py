@@ -15,17 +15,18 @@ The published inclusion sign is the other way around, which would
 certify (d,j) = (1,1) against the ham-sandwich lower bound; the literal
 reading stays available behind `literal_inclusion`.
 
-Besides the criteria the module carries the two classical bounds on the
-minimal admissible dimension (`ramos_lower`, `mvz_upper`), scan drivers,
-and the mechanical verifiers of the inclusion lemmas that show the Z
-criterion never improves on the upper bound.
+Besides the criteria the module carries the ideal chains they test
+against, whose shrinking lets the scan drivers bisect in d, the two
+classical bounds on the minimal admissible dimension (`ramos_lower`,
+`mvz_upper`), and the mechanical verifiers of the inclusion lemmas that
+show the Z criterion never improves on the upper bound.
 """
 
 from dataclasses import asdict, dataclass, replace
 
 from .indexes import index_product_spheres_z, index_sphere_r4j_z, pi_poly
 from .poly import ideal_contains, ideal_subset
-from .rings import H1_F2, YW_F2
+from .rings import D8_Z_BOUND, H1_F2, YW_F2
 
 __all__ = [
     "CRITERION_REGISTRY",
@@ -35,6 +36,9 @@ __all__ = [
     "admissible_z",
     "admissible_h1_f2",
     "admissible",
+    "criterion_ideal",
+    "criterion_chain_step",
+    "criterion_chains_shrink",
     "a_ideal",
     "b_ideal",
     "ramos_lower",
@@ -104,7 +108,7 @@ def admissible_f2(d, j):
     _check_positive(d=d, j=j)
     y, w = YW_F2.gen("y"), YW_F2.gen("w")
     return _outside_criterion(
-        "F2_D8", d, j, [y ** j * w ** j], [pi_poly(d + 1), pi_poly(d + 2)],
+        "F2_D8", d, j, [y ** j * w ** j], criterion_ideal("F2_D8", d),
         _slice_witness(j, f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}"))
 
 
@@ -134,7 +138,8 @@ def admissible_z(d, j, literal_inclusion=False):
         return (f"generator {failing} of A_{j} escapes B_{d} at degree "
                 f"{failing.degree()}")
 
-    verdict = _outside_criterion("Z_D8", d, j, a_ideal(j), b_ideal(d), witness)
+    verdict = _outside_criterion("Z_D8", d, j, a_ideal(j),
+                                 criterion_ideal("Z_D8", d), witness)
     if literal_inclusion:
         verdict = replace(verdict, certified=not verdict.certified)
     return verdict
@@ -146,7 +151,7 @@ def admissible_h1_f2(d, j):
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return _outside_criterion(
         "H1_F2", d, j, [a ** j * b ** j * (a + b) ** j],
-        [a ** (d + 1), (a + b) ** (d + 1)],
+        criterion_ideal("H1_F2", d),
         _slice_witness(j, f"a^{d + 1}, (a+b)^{d + 1}",
                        f"a^{j}*b^{j}*(a+b)^{j}"))
 
@@ -164,6 +169,61 @@ def admissible(d, j, criterion):
     except KeyError:
         raise KeyError(f"unknown criterion {criterion!r}") from None
     return func(d, j)
+
+
+# -------------------------------------------------------------- index chains
+
+def criterion_ideal(criterion, d):
+    """Generators of the ideal I_d that a criterion tests its targets
+    against: <pi_{d+1}, pi_{d+2}> for F2_D8, B_d for Z_D8 and
+    <a^{d+1}, (a+b)^{d+1}> for H1_F2."""
+    _check_positive(d=d)
+    if criterion == "F2_D8":
+        return [pi_poly(d + 1), pi_poly(d + 2)]
+    if criterion == "Z_D8":
+        return b_ideal(d)
+    if criterion == "H1_F2":
+        a, b = H1_F2.gen("a"), H1_F2.gen("b")
+        return [a ** (d + 1), (a + b) ** (d + 1)]
+    raise KeyError(f"unknown criterion {criterion!r}")
+
+
+def criterion_chain_step(criterion, d):
+    """Rows of coefficients writing each generator of I_(d+1) over the
+    generators of I_d: generator k of I_(d+1) is sum_i row_k[i] * I_d[i].
+    Every row is a monomial multiple of a generator or the recurrence
+    p_(n+1) = y*p_n + w*p_(n-1), so it holds for every d."""
+    _check_positive(d=d)
+    if criterion == "F2_D8":  # pi_(d+2); pi_(d+3) = y*pi_(d+2) + w*pi_(d+1)
+        y, w = YW_F2.gen("y"), YW_F2.gen("w")
+        return [[0, 1], [w, y]]
+    if criterion == "Z_D8":
+        if d % 2 == 0:  # B_(d+1) is the first two generators of B_d
+            return [[1, 0, 0], [0, 1, 0]]
+        # B_d = <Pi_n, Pi_(n+1)>, n = (d+1)/2, and B_(d+1) is
+        # <Pi_(n+1), Pi_(n+2) = Y*Pi_(n+1) + W*Pi_n, M*Pi_n>
+        Y, M, W = (D8_Z_BOUND.gen(s) for s in ("Y", "M", "W"))
+        return [[0, 1], [W, Y], [M, 0]]
+    if criterion == "H1_F2":  # a^(d+2) = a*a^(d+1), likewise for a+b
+        a, b = H1_F2.gen("a"), H1_F2.gen("b")
+        return [[a, 0], [0, a + b]]
+    raise KeyError(f"unknown criterion {criterion!r}")
+
+
+def criterion_chains_shrink(top):
+    """I_(d+1) lies inside I_d for every criterion and 1 <= d <= top,
+    replayed from `criterion_chain_step` by ring arithmetic, no solve.
+    A target outside I_d is then outside I_(d+1): certification is
+    upward closed in d."""
+    for criterion in CRITERION_REGISTRY:
+        for d in range(1, top + 1):
+            gens = criterion_ideal(criterion, d)
+            zero = gens[0].ring.zero()
+            replayed = [sum((c * g for c, g in zip(row, gens, strict=True)), zero)
+                        for row in criterion_chain_step(criterion, d)]
+            if replayed != criterion_ideal(criterion, d + 1):
+                return False
+    return True
 
 
 # -------------------------------------------------------------- Delta bounds
@@ -192,17 +252,24 @@ def default_scan_cap(j):
 def min_certified_d(j, criterion, d_cap=None):
     """Smallest d <= d_cap the criterion certifies, or None.
 
-    Scans upward from d = 1; certification is upward closed in d (the
-    index chains shrink as d grows), which the tests spot-check rather
-    than assume.
+    Certification is upward closed in d, since each criterion's ideals
+    shrink as d grows (`criterion_chains_shrink`).  So one check at
+    d_cap decides whether any d certifies, and bisection over [1, d_cap]
+    finds the least one.
     """
     _check_positive(j=j)
     if d_cap is None:
         d_cap = default_scan_cap(j)
-    for d in range(1, d_cap + 1):
-        if admissible(d, j, criterion).certified:
-            return d
-    return None
+    if d_cap < 1 or not admissible(d_cap, j, criterion).certified:
+        return None
+    lo, hi = 0, d_cap  # d = hi certifies, d = lo does not (d = 0 unchecked)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if admissible(mid, j, criterion).certified:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def bound_report(j, scan_cap=None):

@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 Everything here is exact arithmetic; there are no tolerances.
 """
 
-from d8index.bounds import (a_ideal, admissible, b_ideal, min_certified_d,
-                            mvz_upper, ramos_lower)
+from d8index.bounds import (a_ideal, admissible, b_ideal, default_scan_cap,
+                            min_certified_d, mvz_upper, ramos_lower)
 from d8index.homs import F2_DIAGRAM, Z_DIAGRAM, check_reduction_cube
 from d8index.indexes import (FULL_IMAGES_DEGREE, GENERATING_FUNCTION_DEGREE,
                              JOIN_SCHEME_J, POWERS_OF_TWO_Q,
@@ -38,18 +38,28 @@ def test_criterion_1_equality_cases():
             failures)
 
 
+def h1_closed_form_min_d(j):
+    """Least d the H1 criterion certifies, in closed form.  With c = a+b
+    the ideal is the monomial ideal <a^(d+1), c^(d+1)> and the target is
+    sum_k binom(j,k) a^(j+k) c^(2j-k); binom(j,k) is odd iff k is a
+    bitwise subset of j (Lucas), so d certifies iff some such k has
+    j+k <= d and 2j-k <= d."""
+    return min(max(j + k, 2 * j - k) for k in range(j + 1) if k & j == k)
+
+
 def test_criterion_2_bound_coincidence():
     failures = []
-    for j in range(1, 11):
+    for j in range(1, 65):
         q = j.bit_length() - 1
         r = j - (1 << q)
         expected = 2 ** (q + 1) + r
-        f2 = min_certified_d(j, "F2_D8", 24)
-        h1 = min_certified_d(j, "H1_F2", 24)
-        if not (f2 == h1 == expected):
-            failures.append((j, f2, h1, expected))
-    _report(2, "F2 and H1 criteria certify at exactly 2^(q+1)+r for j <= 10",
-            failures)
+        f2 = min_certified_d(j, "F2_D8", default_scan_cap(j))
+        h1 = min_certified_d(j, "H1_F2", default_scan_cap(j))
+        closed_form = h1_closed_form_min_d(j)
+        if not (f2 == h1 == expected == closed_form):
+            failures.append((j, f2, h1, expected, closed_form))
+    _report(2, "F2 and H1 criteria certify at exactly 2^(q+1)+r, the H1 "
+               "closed form, for j <= 64", failures)
 
 
 def test_criterion_3_no_improvement_for_z():

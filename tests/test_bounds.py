@@ -1,11 +1,15 @@
 import pytest
 
-from d8index.bounds import (AdmissibilityVerdict, a_ideal, admissible,
-                            admissible_f2, admissible_h1_f2, admissible_z,
-                            b_ideal, bound_report, default_scan_cap,
+from d8index import bounds
+from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict, a_ideal,
+                            admissible, admissible_f2, admissible_h1_f2,
+                            admissible_z, b_ideal, bound_report,
+                            criterion_chain_step, criterion_chains_shrink,
+                            criterion_ideal, default_scan_cap,
                             dimension_condition, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_step, verify_membership_transfer)
+from d8index.indexes import pi_poly
 from d8index.rings import get_ring
 
 BOUND = get_ring("D8_Z_BOUND")
@@ -110,6 +114,82 @@ def test_certification_upward_closed_in_d():
                 now = admissible(d, j, criterion).certified
                 assert now or not seen, (criterion, j, d)
                 seen = seen or now
+
+
+def _linear_min_certified_d(j, criterion, d_cap):
+    """The least certified d by evaluating d = 1, 2, ... in turn."""
+    return next((d for d in range(1, d_cap + 1)
+                 if admissible(d, j, criterion).certified), None)
+
+
+def test_min_certified_d_bisection_matches_linear_scan():
+    for j in range(1, 13):
+        for criterion in CRITERION_REGISTRY:
+            for cap in (24, None):
+                linear = _linear_min_certified_d(j, criterion,
+                                                 cap or default_scan_cap(j))
+                assert min_certified_d(j, criterion, cap) == linear, \
+                    (criterion, j, cap)
+
+
+def test_min_certified_d_edge_caps():
+    for cap in (0, -3, 1):
+        for criterion in CRITERION_REGISTRY:
+            assert min_certified_d(3, criterion, cap) is None
+    for j, criterion in ((5, "F2_D8"), (6, "H1_F2"), (1, "Z_D8")):
+        least = min_certified_d(j, criterion)
+        assert min_certified_d(j, criterion, least) == least
+        assert min_certified_d(j, criterion, least - 1) is None
+    with pytest.raises(KeyError):
+        min_certified_d(2, "F3_D8", 10)
+
+
+def test_criterion_ideal():
+    assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
+    assert criterion_ideal("Z_D8", 4) == b_ideal(4)
+    a, b = (get_ring("H1_F2").gen(s) for s in ("a", "b"))
+    assert criterion_ideal("H1_F2", 2) == [a ** 3, (a + b) ** 3]
+    with pytest.raises(KeyError):
+        criterion_ideal("F3_D8", 2)
+    with pytest.raises(ValueError):
+        criterion_ideal("F2_D8", 0)
+
+
+def test_criteria_read_their_ideal_from_criterion_ideal(monkeypatch):
+    """The criteria test against the ideals the chain proof covers."""
+    asked = []
+
+    def recording(criterion, d):
+        asked.append((criterion, d))
+        return criterion_ideal(criterion, d)
+
+    monkeypatch.setattr(bounds, "criterion_ideal", recording)
+    for criterion in CRITERION_REGISTRY:
+        admissible(5, 2, criterion)
+    assert asked == [(criterion, 5) for criterion in CRITERION_REGISTRY]
+
+
+def test_criterion_chains_shrink():
+    """Every step I_(d+1) inside I_d, replayed by ring arithmetic."""
+    assert criterion_chains_shrink(256)
+
+
+@pytest.mark.parametrize("criterion, row, wrong", [
+    ("F2_D8", 1, ("0", "y")),    # pi_(d+3) = y*pi_(d+2), dropping w*pi_(d+1)
+    ("Z_D8", 1, ("0", "Y")),     # Pi_(n+2) = Y*Pi_(n+1), dropping W*Pi_n
+    ("H1_F2", 0, ("a+b", "0")),  # a^(d+2) = (a+b)*a^(d+1)
+])
+def test_wrong_chain_step_fails(monkeypatch, criterion, row, wrong):
+    ring = criterion_ideal(criterion, 1)[0].ring
+
+    def broken(name, d):
+        rows = criterion_chain_step(name, d)
+        if name == criterion and len(rows[row]) == len(wrong):
+            rows[row] = [ring.parse(text) for text in wrong]
+        return rows
+
+    monkeypatch.setattr(bounds, "criterion_chain_step", broken)
+    assert not criterion_chains_shrink(8)
 
 
 def test_inclusion_power_case():
