@@ -36,6 +36,7 @@ __all__ = [
     "admissible_z",
     "admissible_h1_f2",
     "admissible",
+    "criterion_targets",
     "criterion_ideal",
     "criterion_chain_step",
     "criterion_chains_shrink",
@@ -106,9 +107,9 @@ def _slice_witness(j, gens_text, target_text):
 def admissible_f2(d, j):
     """Certify (d, j, 2) from the mod-2 D8 index of S^d x S^d."""
     _check_positive(d=d, j=j)
-    y, w = YW_F2.gen("y"), YW_F2.gen("w")
     return _outside_criterion(
-        "F2_D8", d, j, [y ** j * w ** j], criterion_ideal("F2_D8", d),
+        "F2_D8", d, j, criterion_targets("F2_D8", j),
+        criterion_ideal("F2_D8", d),
         _slice_witness(j, f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}"))
 
 
@@ -138,7 +139,7 @@ def admissible_z(d, j, literal_inclusion=False):
         return (f"generator {failing} of A_{j} escapes B_{d} at degree "
                 f"{failing.degree()}")
 
-    verdict = _outside_criterion("Z_D8", d, j, a_ideal(j),
+    verdict = _outside_criterion("Z_D8", d, j, criterion_targets("Z_D8", j),
                                  criterion_ideal("Z_D8", d), witness)
     if literal_inclusion:
         verdict = replace(verdict, certified=not verdict.certified)
@@ -148,9 +149,8 @@ def admissible_z(d, j, literal_inclusion=False):
 def admissible_h1_f2(d, j):
     """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
     _check_positive(d=d, j=j)
-    a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return _outside_criterion(
-        "H1_F2", d, j, [a ** j * b ** j * (a + b) ** j],
+        "H1_F2", d, j, criterion_targets("H1_F2", j),
         criterion_ideal("H1_F2", d),
         _slice_witness(j, f"a^{d + 1}, (a+b)^{d + 1}",
                        f"a^{j}*b^{j}*(a+b)^{j}"))
@@ -173,6 +173,33 @@ def admissible(d, j, criterion):
 
 # -------------------------------------------------------------- index chains
 
+def _h1_power(n, j=0):
+    """a^j b^j (a+b)^n in F2[a,b], written out by Lucas' theorem:
+    binom(n, k) is odd iff k is a bitwise subset of n, so the terms are
+    a^(j+k) b^(j+n-k) for those k."""
+    terms = {}
+    k = n
+    while True:
+        terms[(j + k, j + n - k)] = 1
+        if not k:
+            return H1_F2.element(terms)
+        k = (k - 1) & n
+
+
+def criterion_targets(criterion, j):
+    """The elements a criterion certifies (d, j) with when one lies
+    outside I_d: y^j w^j for F2_D8, the generators of A_j for Z_D8 and
+    a^j b^j (a+b)^j for H1_F2."""
+    _check_positive(j=j)
+    if criterion == "F2_D8":
+        return [YW_F2.element({(j, j): 1})]
+    if criterion == "Z_D8":
+        return a_ideal(j)
+    if criterion == "H1_F2":
+        return [_h1_power(j, j)]
+    raise KeyError(f"unknown criterion {criterion!r}")
+
+
 def criterion_ideal(criterion, d):
     """Generators of the ideal I_d that a criterion tests its targets
     against: <pi_{d+1}, pi_{d+2}> for F2_D8, B_d for Z_D8 and
@@ -183,8 +210,7 @@ def criterion_ideal(criterion, d):
     if criterion == "Z_D8":
         return b_ideal(d)
     if criterion == "H1_F2":
-        a, b = H1_F2.gen("a"), H1_F2.gen("b")
-        return [a ** (d + 1), (a + b) ** (d + 1)]
+        return [H1_F2.element({(d + 1, 0): 1}), _h1_power(d + 1)]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -311,7 +337,7 @@ def verify_membership_transfer(d, j):
     criterion to the symmetric one."""
     _check_positive(d=d, j=j)
     a, c = H1_F2.gen("a"), H1_F2.gen("b")  # c := a+b plays the second variable
-    target = a ** j * c ** j * (a + c) ** j
+    target = _h1_power(j, j)  # a^j c^j (a+c)^j
     if not ideal_contains([a ** (d + 1), c ** (d + 1)], target):
         return True
     return ideal_contains([a ** (d + 1) + c ** (d + 1),

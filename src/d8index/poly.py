@@ -5,15 +5,22 @@ ring is a finite group (+) Z/o_i with o_i in {2, 4} (an F2 slice is the
 case where every o_i is 2), so membership is exact linear algebra on the
 degree slice.  `element_vector` is the one encoder: it packs an element
 over the slice's own index map as two bitplanes (lo, hi), with `hi`
-masked to the slice's order-4 coordinates (`GradedSlice.mask4`).  Every
-decider, for every ring, hands such vectors to one Howell basis
-(`linalg.howell_basis`): membership is a reduction against it, and
-whether two ideal slices meet only in 0 is a count of subgroup orders.
+masked to the slice's order-4 coordinates (`GradedSlice.mask4`).  The
+deciders span an ideal slice with `ideal_slice_vectors`, which builds
+those packed vectors of the products m * g directly from monomial keys
+and the slice's memo of single-monomial normal forms, with no
+`RingElement` product.  Every decider, for every ring, hands the vectors
+to one Howell basis (`linalg.howell_basis`): membership is a reduction
+against it, and whether two ideal slices meet only in 0 is a count of
+subgroup orders.
 
 `contains_by_enumeration` is the independent brute-force oracle: it
+spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
 enumerates every sum of multiples of the slice elements with its own
 bitplane addition and never touches the elimination code paths.
 """
+
+from operator import lshift
 
 from .linalg import z4_in_span, z4_log2_order
 from .rings import GradedSlice, RingMismatchError
@@ -21,6 +28,7 @@ from .rings import GradedSlice, RingMismatchError
 __all__ = [
     "GradedSlice",
     "graded_ideal_slice",
+    "ideal_slice_vectors",
     "ideal_contains",
     "ideal_subset",
     "contains_by_enumeration",
@@ -67,6 +75,62 @@ def graded_ideal_slice(gens, degree):
     return out
 
 
+def ideal_slice_vectors(gens, slice_):
+    """Packed vectors of the spanning set `graded_ideal_slice(gens, n)` of
+    the degree-n piece of <gens> over `slice_` (degree n), in the same
+    order, formed without `RingElement` products.
+
+    A monomial packs into one int with a field of n.bit_length() + 1 bits
+    per exponent.  Every exponent of a degree-n product is at most n, so
+    no field carries into the next and a product of monomials is the sum
+    of their keys.  The vector of m * g is then the Z/4 sum of
+    c * slice_.memo[key(m) + key(t)] over the terms c * t of g, added in
+    bitplanes; masking `hi` with `mask4` reduces every coefficient modulo
+    its own monomial's order.  A raw monomial's normal form is computed
+    once per slice, on its first use.  Zero products are dropped; an
+    inhomogeneous generator raises ValueError (`RingElement.degree`)."""
+    ring = _common_ring(gens)
+    degree, memo, index, mask4 = (slice_.degree, slice_.memo, slice_.index,
+                                  slice_.mask4)
+    width = degree.bit_length() + 1
+    field = (1 << width) - 1
+    shifts = [width * i for i in range(len(ring.gens))] if ring else []
+
+    def key(mono):
+        return sum(map(lshift, mono, shifts))
+
+    def fill(k):
+        mono = tuple(k >> s & field for s in shifts)
+        i = index.get(mono)  # a normal monomial is one bit
+        memo[k] = v = ((1 << i, 0) if i is not None
+                       else element_vector(ring.element({mono: 1}), slice_))
+        return v
+
+    out = []
+    for g in gens:
+        if not g:
+            continue
+        mdeg = degree - g.degree()
+        if mdeg < 0:
+            continue
+        terms = [(key(t), c & 3) for t, c in g.terms.items() if c & 3]
+        for mono in ring.monomials(mdeg):
+            base = key(mono)
+            lo = hi = 0
+            for tk, c in terms:
+                k = base + tk
+                vlo, vhi = memo.get(k) or fill(k)
+                if c == 2:
+                    vlo, vhi = 0, vlo
+                elif c == 3:
+                    vhi ^= vlo
+                lo, hi = lo ^ vlo, hi ^ vhi ^ (lo & vlo)
+            hi &= mask4
+            if lo or hi:
+                out.append((lo, hi))
+    return out
+
+
 def element_vector(e, slice_):
     """Coefficients of e over the slice, packed as bitplanes (lo, hi): the
     monomial on bit i = slice_.index[m] has coefficient lo_i + 2*hi_i."""
@@ -88,9 +152,9 @@ def vector_element(vector, slice_, ring):
 
 def _membership_instance(gens, f):
     """Shared prelude of the membership deciders: checks the inputs and
-    encodes the span of <gens> and the target f over the slice of f.
-    Returns (slice, span vectors, target vector), or None when f = 0
-    (0 lies in every ideal)."""
+    encodes the target f over the slice of f.  Returns (slice, target
+    vector), or None when f = 0 (0 lies in every ideal).  Each decider
+    spans the slice of <gens> its own way."""
     _check_homogeneous(list(gens) + [f])
     _common_ring(list(gens) + [f])
     if not f:
@@ -99,8 +163,7 @@ def _membership_instance(gens, f):
     if degree == 0:
         raise ValueError("membership is defined for positive-degree elements")
     slice_ = f.ring.graded_slice(degree)
-    vectors = [element_vector(g, slice_) for g in graded_ideal_slice(gens, degree)]
-    return slice_, vectors, element_vector(f, slice_)
+    return slice_, element_vector(f, slice_)
 
 
 def ideal_contains(gens, f):
@@ -108,8 +171,8 @@ def ideal_contains(gens, f):
     instance = _membership_instance(gens, f)
     if instance is None:
         return True
-    slice_, vectors, target = instance
-    return z4_in_span(vectors, target, slice_.mask4)
+    slice_, target = instance
+    return z4_in_span(ideal_slice_vectors(gens, slice_), target, slice_.mask4)
 
 
 def ideal_subset(a_gens, b_gens):
@@ -120,6 +183,8 @@ def ideal_subset(a_gens, b_gens):
 def contains_by_enumeration(gens, f):
     """Brute-force membership oracle.
 
+    Spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
+    not by `ideal_slice_vectors`, so it also checks span generation.
     Builds the set of every sum of multiples of the slice elements, each
     packed vector v contributing its distinct nonzero multiples among v,
     2v, 3v (over F2 only v itself), and looks the target up.
@@ -127,7 +192,9 @@ def contains_by_enumeration(gens, f):
     instance = _membership_instance(gens, f)
     if instance is None:
         return True
-    slice_, vectors, target = instance
+    slice_, target = instance
+    vectors = [element_vector(e, slice_)
+               for e in graded_ideal_slice(gens, slice_.degree)]
     mask4 = slice_.mask4
 
     def add(a, b):
@@ -146,14 +213,14 @@ def slice_intersection_is_zero(a_gens, b_gens, degree):
     Defined for degree >= 1; H^0 of a Z ring is Z, not a finite slice."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    _common_ring(list(a_gens) + list(b_gens))
-    span_a = graded_ideal_slice(a_gens, degree)
-    span_b = graded_ideal_slice(b_gens, degree)
-    if not span_a or not span_b:
+    ring = _common_ring(list(a_gens) + list(b_gens))
+    if ring is None:
         return True
-    slice_ = span_a[0].ring.graded_slice(degree)
+    slice_ = ring.graded_slice(degree)
+    vec_a = ideal_slice_vectors(a_gens, slice_)
+    vec_b = ideal_slice_vectors(b_gens, slice_)
+    if not vec_a or not vec_b:
+        return True
     mask4 = slice_.mask4
-    vec_a = [element_vector(e, slice_) for e in span_a]
-    vec_b = [element_vector(e, slice_) for e in span_b]
     return (z4_log2_order(vec_a, mask4) + z4_log2_order(vec_b, mask4)
             == z4_log2_order(vec_a + vec_b, mask4))

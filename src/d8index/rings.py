@@ -42,9 +42,15 @@ class GradedSlice:
     descending lexicographic order, with their additive orders.  Every
     encoding over the slice uses `index`, the monomial -> bit map, which
     puts the lexicographically largest monomial on the top bit, and
-    `mask4`, the int whose bits are the order-4 monomials."""
+    `mask4`, the int whose bits are the order-4 monomials.
 
-    __slots__ = ("degree", "basis", "orders", "index", "mask4")
+    `memo` starts empty and is filled lazily by `poly.ideal_slice_vectors`:
+    it maps a raw degree-n monomial, packed into one int, to the packed
+    vector of that monomial's normal form.  It depends on the ring and the
+    degree alone, never on a generator set, so any decision at this degree
+    may share it."""
+
+    __slots__ = ("degree", "basis", "orders", "index", "mask4", "memo")
 
     def __init__(self, degree, basis, orders):
         self.degree = degree
@@ -52,6 +58,7 @@ class GradedSlice:
         self.orders = tuple(orders)
         self.index = {m: i for i, m in enumerate(reversed(self.basis))}
         self.mask4 = sum(1 << self.index[m] for m, o in zip(self.basis, self.orders) if o == 4)
+        self.memo = {}
 
     def __len__(self):
         return len(self.basis)
@@ -96,6 +103,7 @@ class RingPresentation:
         self._print_order = sorted(range(len(self.gens)),
                                    key=lambda i: (-self.degrees[i], i))
         self._mono_cache = {}
+        self._slice = None
         # equality is structural: the name is only a catalog label
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
@@ -213,8 +221,15 @@ class RingPresentation:
         return list(cached)
 
     def graded_slice(self, degree):
-        basis = self.monomials(degree)
-        return GradedSlice(degree, basis, [self.monomial_order(m) for m in basis])
+        """The slice of the degree.  The most recent slice is kept and
+        returned again while the degree stays the same, as it does for
+        every step of a `min_certified_d` bisection; one slice per ring
+        keeps the memory flat."""
+        if self._slice is None or self._slice.degree != degree:
+            basis = self.monomials(degree)
+            self._slice = GradedSlice(degree, basis,
+                                      [self.monomial_order(m) for m in basis])
+        return self._slice
 
     # -- element constructors --------------------------------------------
 

@@ -5,12 +5,12 @@ from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict, a_ideal,
                             admissible, admissible_f2, admissible_h1_f2,
                             admissible_z, b_ideal, bound_report,
                             criterion_chain_step, criterion_chains_shrink,
-                            criterion_ideal, default_scan_cap,
+                            criterion_ideal, criterion_targets, default_scan_cap,
                             dimension_condition, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_step, verify_membership_transfer)
 from d8index.indexes import pi_poly
-from d8index.rings import get_ring
+from d8index.rings import YW_F2, get_ring
 
 BOUND = get_ring("D8_Z_BOUND")
 
@@ -149,10 +149,28 @@ def test_criterion_ideal():
     assert criterion_ideal("Z_D8", 4) == b_ideal(4)
     a, b = (get_ring("H1_F2").gen(s) for s in ("a", "b"))
     assert criterion_ideal("H1_F2", 2) == [a ** 3, (a + b) ** 3]
+    # the Lucas-built (a+b)^n against `**`, n <= 256
+    for d in range(1, 256):
+        assert criterion_ideal("H1_F2", d) == [a ** (d + 1), (a + b) ** (d + 1)]
     with pytest.raises(KeyError):
         criterion_ideal("F3_D8", 2)
     with pytest.raises(ValueError):
         criterion_ideal("F2_D8", 0)
+
+
+def test_criterion_targets():
+    """The targets built directly (one monomial, a Lucas expansion) equal
+    their `**` products."""
+    a, b = (get_ring("H1_F2").gen(s) for s in ("a", "b"))
+    y, w = (YW_F2.gen(s) for s in ("y", "w"))
+    for j in range(1, 65):
+        assert criterion_targets("F2_D8", j) == [y ** j * w ** j]
+        assert criterion_targets("Z_D8", j) == a_ideal(j)
+        assert criterion_targets("H1_F2", j) == [a ** j * b ** j * (a + b) ** j]
+    with pytest.raises(KeyError):
+        criterion_targets("F3_D8", 2)
+    with pytest.raises(ValueError):
+        criterion_targets("H1_F2", 0)
 
 
 def test_criteria_read_their_ideal_from_criterion_ideal(monkeypatch):

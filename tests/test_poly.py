@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from d8index.linalg import z4_in_span
 from d8index.poly import (contains_by_enumeration, element_vector,
-                          graded_ideal_slice, ideal_contains, ideal_subset,
+                          graded_ideal_slice, ideal_contains,
+                          ideal_slice_vectors, ideal_subset,
                           slice_intersection_is_zero, vector_element)
-from d8index.rings import RingMismatchError, YW_F2, get_ring
+from d8index.rings import (CATALOG, GradedSlice, RingMismatchError, YW_F2,
+                           get_ring)
 from d8index.verify import random_homogeneous
 
 BOUND = get_ring("D8_Z_BOUND")
@@ -28,6 +31,116 @@ def test_graded_ideal_slice_examples():
 def test_graded_ideal_slice_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         graded_ideal_slice([_yw("y+w")], 3)
+
+
+def _ring_span_vectors(gens, slice_):
+    """The span of `ideal_slice_vectors`, formed in ring arithmetic."""
+    return [element_vector(e, slice_)
+            for e in graded_ideal_slice(gens, slice_.degree)]
+
+
+@pytest.mark.parametrize("ring", [YW_F2, *CATALOG.values()],
+                         ids=lambda ring: ring.name)
+def test_packed_span_matches_ring_arithmetic(ring):
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(30):
+        degree = rng.randint(1, 12)
+        gens = [random_homogeneous(ring, rng.randint(0, degree), rng)
+                for _ in range(rng.randint(1, 3))]
+        slice_ = ring.graded_slice(degree)
+        vectors = _ring_span_vectors(gens, slice_)
+        assert ideal_slice_vectors(gens, slice_) == vectors
+        checked += bool(vectors)
+    assert checked >= 5
+
+
+def test_packed_span_reduces_coefficients_per_monomial():
+    """Coefficients 2 and 3 on the order-4 W^k, moved by a product onto an
+    order-2 monomial, a normal form with two terms (M^2 -> W*X + W*Y) or
+    none (x*y -> 0), and free degree-0 generators."""
+    full = get_ring("D8_Z_FULL")
+    cases = [
+        (BOUND, ["2*W", "3*W", "3*W^2+Y^4", "2*W+Y^2", "M"], (8, 9, 10, 11, 12)),
+        (full, ["2*W", "3*W", "3*W+X^2", "M", "3*W^2+W*X^2"], (6, 7, 8, 10, 11, 12)),
+        (D8, ["x", "y", "x*w+y^3"], (3, 4, 5)),
+        (get_ring("H2_Z"), ["3*U", "2*U^2"], (4, 6)),
+    ]
+    for ring, texts, degrees in cases:
+        gens = [ring.parse(t) for t in texts] + [ring.one(), 2 * ring.one()]
+        for degree in degrees:
+            slice_ = ring.graded_slice(degree)
+            for g in gens:
+                assert ideal_slice_vectors([g], slice_) == \
+                    _ring_span_vectors([g], slice_), (ring.name, g, degree)
+    # 2*(Y*W) = 0: every product of 2*W with Y*m drops out
+    assert ideal_slice_vectors([BOUND.parse("2*W")], BOUND.graded_slice(6)) == []
+
+
+@pytest.mark.parametrize("ring_name, degree", [("H2_F2", 2 ** 17 + 3),
+                                               ("K3_Z", 2 ** 18 + 2)])
+def test_packed_span_key_width_grows_with_degree(ring_name, degree):
+    """Exponents above 2^17 fit their key fields: the width follows the
+    degree."""
+    ring = get_ring(ring_name)
+    slice_ = ring.graded_slice(degree)
+    top = ring.element({slice_.basis[0]: 1})
+    gens = [g for g in (ring.gen(s) for s in ring.gens)] + [top]
+    assert ideal_slice_vectors(gens, slice_) == _ring_span_vectors(gens, slice_)
+    assert ideal_contains(gens[:1], top)
+
+
+def test_graded_slice_is_reused_at_one_degree():
+    ring = get_ring("D8_Z_FULL")
+    assert ring.graded_slice(9) is ring.graded_slice(9)
+    assert ring.graded_slice(8) is not ring.graded_slice(9)
+
+
+def _fresh_verdict(gens, f):
+    """ideal_contains on a slice built here, with an empty memo."""
+    ring, degree = f.ring, f.degree()
+    basis = ring.monomials(degree)
+    fresh = GradedSlice(degree, basis, [ring.monomial_order(m) for m in basis])
+    return z4_in_span(ideal_slice_vectors(gens, fresh),
+                      element_vector(f, fresh), fresh.mask4)
+
+
+@pytest.mark.parametrize("ring_name, ideals, targets, other", [
+    ("D8_Z_FULL", (["M", "2*W"], ["X^2+Y^2", "W*X"]),
+     ["M^2*W", "W^2*X", "X^5", "W*X^3+W*Y^3"], "2*W^2"),
+    ("D8_F2", (["x"], ["w+y^2", "y*x"]),
+     ["w^2*y+y^5", "x^5", "x*w^2", "w*y^3"], "w^2"),
+])
+def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
+                                                  other):
+    """Two ideals decided at one degree, in either order and interleaved
+    with another degree, give the verdicts of fresh slices, and the memo
+    keeps only normal forms of single monomials."""
+    ring = get_ring(ring_name)
+    first, second = ([ring.parse(t) for t in gens] for gens in ideals)
+    fs = [ring.parse(t) for t in targets]
+    degree = fs[0].degree()
+    assert {f.degree() for f in fs} == {degree}
+    g = ring.parse(other)
+    expected = {(i, f): _fresh_verdict(gens, f)
+                for i, gens in enumerate((first, second)) for f in fs}
+    assert len(set(expected.values())) == 2
+    for order in ((0, 1), (1, 0), (0, "other", 1), (1, "other", 0)):
+        ring.graded_slice(degree - 1)   # start every order from a new slice
+        for step in order:
+            if step == "other":
+                ideal_contains(first + second, g)
+                continue
+            gens = (first, second)[step]
+            for f in fs:
+                assert ideal_contains(gens, f) == expected[(step, f)]
+    slice_ = ring.graded_slice(degree)
+    width = degree.bit_length() + 1
+    assert slice_.memo
+    for key, vector in slice_.memo.items():
+        mono = tuple(key >> (width * i) & ((1 << width) - 1)
+                     for i in range(len(ring.gens)))
+        assert vector == element_vector(ring.element({mono: 1}), slice_)
 
 
 def test_ideal_contains_f2_examples():
