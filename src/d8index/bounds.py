@@ -86,11 +86,14 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _outside_criterion(name, d, j, targets, gens, witness):
-    """Shared body of the criteria: certified iff some target is NOT in
-    the ideal <gens>.  `witness(failing)` words the verdict, `failing`
-    being the first target outside <gens>, or None."""
-    failing = next((t for t in targets if not ideal_contains(gens, t)), None)
+def _outside_criterion(name, d, j, witness):
+    """Shared body of the criteria: certified iff some target of
+    `criterion_targets` is NOT in the ideal I_d of `criterion_ideal`.
+    `witness(failing)` words the verdict, `failing` being the first
+    target outside I_d, or None."""
+    gens = criterion_ideal(name, d)
+    failing = next((t for t in criterion_targets(name, j)
+                    if not ideal_contains(gens, t)), None)
     return AdmissibilityVerdict(d, j, name, failing is not None,
                                 witness(failing))
 
@@ -108,8 +111,7 @@ def admissible_f2(d, j):
     """Certify (d, j, 2) from the mod-2 D8 index of S^d x S^d."""
     _check_positive(d=d, j=j)
     return _outside_criterion(
-        "F2_D8", d, j, criterion_targets("F2_D8", j),
-        criterion_ideal("F2_D8", d),
+        "F2_D8", d, j,
         _slice_witness(j, f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}"))
 
 
@@ -139,8 +141,7 @@ def admissible_z(d, j, literal_inclusion=False):
         return (f"generator {failing} of A_{j} escapes B_{d} at degree "
                 f"{failing.degree()}")
 
-    verdict = _outside_criterion("Z_D8", d, j, criterion_targets("Z_D8", j),
-                                 criterion_ideal("Z_D8", d), witness)
+    verdict = _outside_criterion("Z_D8", d, j, witness)
     if literal_inclusion:
         verdict = replace(verdict, certified=not verdict.certified)
     return verdict
@@ -150,8 +151,7 @@ def admissible_h1_f2(d, j):
     """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
     _check_positive(d=d, j=j)
     return _outside_criterion(
-        "H1_F2", d, j, criterion_targets("H1_F2", j),
-        criterion_ideal("H1_F2", d),
+        "H1_F2", d, j,
         _slice_witness(j, f"a^{d + 1}, (a+b)^{d + 1}",
                        f"a^{j}*b^{j}*(a+b)^{j}"))
 

@@ -133,6 +133,12 @@ def test_graded_slice_orders():
     assert slice8.degree == 8
 
 
+def test_graded_slice_is_reused_at_one_degree():
+    ring = get_ring("D8_Z_FULL")
+    assert ring.graded_slice(9) is ring.graded_slice(9)
+    assert ring.graded_slice(8) is not ring.graded_slice(9)
+
+
 def test_parse_and_print_round_trip():
     samples = {
         "YW_F2": ["y^3+w*y", "0", "1", "w^2*y"],
