@@ -90,11 +90,13 @@ def ideal_slice_vectors(gens, slice_):
     once per slice, on its first use.  Zero products are dropped; an
     inhomogeneous generator raises ValueError (`RingElement.degree`)."""
     ring = _common_ring(gens)
+    if ring is None:
+        return []
     degree, memo, index, mask4 = (slice_.degree, slice_.memo, slice_.index,
                                   slice_.mask4)
     width = degree.bit_length() + 1
     field = (1 << width) - 1
-    shifts = [width * i for i in range(len(ring.gens))] if ring else []
+    shifts = [width * i for i in range(len(ring.gens))]
 
     def key(mono):
         return sum(map(lshift, mono, shifts))
