@@ -1,8 +1,8 @@
 """Admissibility criteria for the two-hyperplane mass partition problem.
 
 A triple (d, j, 2) is admissible when j masses in R^d can always be
-equiparted by two hyperplanes.  Each criterion here certifies
-admissibility from an index computation:
+equiparted by two hyperplanes.  Each criterion here certifies it when
+some target lies outside an index ideal I_d:
 
 * F2_D8:  y^j w^j not in <pi_{d+1}, pi_{d+2}>            in F2[y,w]
 * Z_D8:   A_j not contained in B_d                        in the bound ring
@@ -14,6 +14,10 @@ to contain the sphere index, so it is NON-inclusion that certifies.
 The published inclusion sign is the other way around, which would
 certify (d,j) = (1,1) against the ham-sandwich lower bound; the literal
 reading stays available behind `literal_inclusion`.
+
+`admissible(d, j, criterion)` is the one verdict body for all three: it
+reads I_d from `criterion_ideal` and the targets from `criterion_targets`,
+and words the verdict from the first target outside I_d (`_witness`).
 
 Besides the criteria the module carries the ideal chains they test
 against, whose shrinking lets the scan drivers bisect in d, the two
@@ -86,33 +90,43 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _outside_criterion(name, d, j, witness):
-    """Shared body of the criteria: certified iff some target of
-    `criterion_targets` is NOT in the ideal I_d of `criterion_ideal`.
-    `witness(failing)` words the verdict, `failing` being the first
-    target outside I_d, or None."""
-    gens = criterion_ideal(name, d)
-    failing = next((t for t in criterion_targets(name, j)
+# criterion name -> CLI --coeff value
+CRITERION_REGISTRY = {"F2_D8": "f2", "Z_D8": "z", "H1_F2": "h1f2"}
+
+
+def admissible(d, j, criterion):
+    """Certify (d, j, 2) by the named criterion: certified iff some target
+    of `criterion_targets` is NOT in the ideal I_d of `criterion_ideal`.
+    The first target outside I_d, if any, words the witness."""
+    if criterion not in CRITERION_REGISTRY:
+        raise KeyError(f"unknown criterion {criterion!r}")
+    gens = criterion_ideal(criterion, d)
+    failing = next((t for t in criterion_targets(criterion, j)
                     if not ideal_contains(gens, t)), None)
-    return AdmissibilityVerdict(d, j, name, failing is not None,
-                                witness(failing))
-
-
-def _slice_witness(j, gens_text, target_text):
-    """Witness wording of the single-target mod-2 criteria."""
-    def witness(failing):
-        where = "decomposes over" if failing is None else "is outside"
-        return (f"{target_text} {where} the degree-{3 * j} slice of "
-                f"<{gens_text}>")
-    return witness
+    return AdmissibilityVerdict(d, j, criterion, failing is not None,
+                                _witness(criterion, d, j, failing))
 
 
 def admissible_f2(d, j):
     """Certify (d, j, 2) from the mod-2 D8 index of S^d x S^d."""
-    _check_positive(d=d, j=j)
-    return _outside_criterion(
-        "F2_D8", d, j,
-        _slice_witness(j, f"pi_{d + 1}, pi_{d + 2}", f"y^{j}*w^{j}"))
+    return admissible(d, j, "F2_D8")
+
+
+def admissible_z(d, j, literal_inclusion=False):
+    """Certify (d, j, 2) from the integral D8 indexes.
+
+    Default reading: certified iff A_j is NOT contained in B_d.  Set
+    `literal_inclusion` to certify on containment instead.
+    """
+    verdict = admissible(d, j, "Z_D8")
+    if literal_inclusion:
+        verdict = replace(verdict, certified=not verdict.certified)
+    return verdict
+
+
+def admissible_h1_f2(d, j):
+    """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
+    return admissible(d, j, "H1_F2")
 
 
 def a_ideal(j):
@@ -125,50 +139,6 @@ def b_ideal(d):
     """Generators of the integral product index B_d (bound ring)."""
     _check_positive(d=d)
     return list(index_product_spheres_z(d).gens)
-
-
-def admissible_z(d, j, literal_inclusion=False):
-    """Certify (d, j, 2) from the integral D8 indexes.
-
-    Default reading: certified iff A_j is NOT contained in B_d.  Set
-    `literal_inclusion` to certify on containment instead.
-    """
-    _check_positive(d=d, j=j)
-
-    def witness(failing):
-        if failing is None:
-            return f"every generator of A_{j} lies in B_{d}"
-        return (f"generator {failing} of A_{j} escapes B_{d} at degree "
-                f"{failing.degree()}")
-
-    verdict = _outside_criterion("Z_D8", d, j, witness)
-    if literal_inclusion:
-        verdict = replace(verdict, certified=not verdict.certified)
-    return verdict
-
-
-def admissible_h1_f2(d, j):
-    """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
-    _check_positive(d=d, j=j)
-    return _outside_criterion(
-        "H1_F2", d, j,
-        _slice_witness(j, f"a^{d + 1}, (a+b)^{d + 1}",
-                       f"a^{j}*b^{j}*(a+b)^{j}"))
-
-
-# criterion name -> (CLI --coeff value, verdict function of (d, j))
-CRITERION_REGISTRY = {
-    "F2_D8": ("f2", admissible_f2),
-    "Z_D8": ("z", admissible_z),
-    "H1_F2": ("h1f2", admissible_h1_f2),
-}
-
-def admissible(d, j, criterion):
-    try:
-        _, func = CRITERION_REGISTRY[criterion]
-    except KeyError:
-        raise KeyError(f"unknown criterion {criterion!r}") from None
-    return func(d, j)
 
 
 # -------------------------------------------------------------- index chains
@@ -211,6 +181,24 @@ def criterion_ideal(criterion, d):
         return b_ideal(d)
     if criterion == "H1_F2":
         return [H1_F2.element({(d + 1, 0): 1}), _h1_power(d + 1)]
+    raise KeyError(f"unknown criterion {criterion!r}")
+
+
+def _witness(criterion, d, j, failing):
+    """Wording of a verdict, `failing` being the first target outside
+    I_d, or None."""
+    where = "decomposes over" if failing is None else "is outside"
+    if criterion == "F2_D8":
+        return (f"y^{j}*w^{j} {where} the degree-{3 * j} slice of "
+                f"<pi_{d + 1}, pi_{d + 2}>")
+    if criterion == "Z_D8":
+        if failing is None:
+            return f"every generator of A_{j} lies in B_{d}"
+        return (f"generator {failing} of A_{j} escapes B_{d} at degree "
+                f"{failing.degree()}")
+    if criterion == "H1_F2":
+        return (f"a^{j}*b^{j}*(a+b)^{j} {where} the degree-{3 * j} slice of "
+                f"<a^{d + 1}, (a+b)^{d + 1}>")
     raise KeyError(f"unknown criterion {criterion!r}")
 
 

@@ -25,7 +25,7 @@ from .rings import ElementParseError
 
 SCHEMA = "1"
 
-_CRITERION_OF_COEFF = {coeff: name for name, (coeff, _)
+_CRITERION_OF_COEFF = {coeff: name for name, coeff
                        in bounds_mod.CRITERION_REGISTRY.items()}
 
 TABLE_COLUMNS = ("j", "ramos", "mvz", "f2_min_d", "z_min_d", "h1_min_d")

@@ -3,10 +3,11 @@ mod-2 coefficient reduction maps.
 
 A homomorphism is a generator-image table, validated at construction:
 images must preserve degree, kill the domain's additive torsion, and
-send every rewrite relation to zero in the codomain.  Restrictions from
-D8 to the order-2 subgroups are defined by composing through a fixed
-intermediate subgroup (K1, K2 via H1; K3 via H2; K4, K5 via H3); the
-diagram commutativity checks confirm the choice of route is immaterial.
+send every rewrite relation to zero in the codomain.  A restriction
+with no edge of its own, such as D8 to an order-2 subgroup, composes
+along the first two-step route of its diagram (K1, K2, K3 via H1; K4,
+K5 via H3).  A restriction is fixed by its generator images, and the
+diagram commutativity checks confirm that every route gives the same.
 
 The generator images encode the subgroup lattice data of D8: which
 generators die on restriction, the K4/K5 images fixed up to the
@@ -156,26 +157,24 @@ class RestrictionDiagram:
     """Subgroup restriction diagram: one cohomology ring per node and one
     homomorphism per covering relation of the subgroup lattice."""
 
-    def __init__(self, coeff, rings, edges, via):
+    def __init__(self, coeff, rings, edges):
         self.coeff = coeff
         self.rings = dict(rings)
-        self.nodes = tuple(rings)
         self.edges = dict(edges)
-        self.via = dict(via)  # canonical intermediate for two-step routes
 
     def ring_of(self, node):
         return self.rings[node]
 
     def res(self, src, dst):
-        """Restriction along src >= dst (canonical route when needed)."""
+        """Restriction along src >= dst: the identity, or the first route
+        of `routes`, which is the edge when there is one (every route
+        gives the same map)."""
         if src == dst:
             return RingHom.identity(self.rings[src])
-        if (src, dst) in self.edges:
-            return self.edges[(src, dst)]
-        mid = self.via.get(dst)
-        if mid is not None and (src, mid) in self.edges and (mid, dst) in self.edges:
-            return self.edges[(mid, dst)].compose(self.edges[(src, mid)])
-        raise KeyError(f"no restriction {src} -> {dst} in the {self.coeff} diagram")
+        routes = self.routes(src, dst)
+        if not routes:
+            raise KeyError(f"no restriction {src} -> {dst} in the {self.coeff} diagram")
+        return routes[0][1]
 
     def routes(self, src, dst):
         """Every one- or two-step route from src to dst."""
@@ -192,8 +191,8 @@ class RestrictionDiagram:
         """Compare all routes between every node pair; returns a list of
         (label, ok) for every pair admitting at least two routes."""
         results = []
-        for src in self.nodes:
-            for dst in self.nodes:
+        for src in self.rings:
+            for dst in self.rings:
                 if src == dst:
                     continue
                 routes = self.routes(src, dst)
@@ -229,7 +228,6 @@ F2_DIAGRAM = RestrictionDiagram(
     {"D8": D8_F2, "H1": H1_F2, "H2": H2_F2, "H3": H3_F2,
      "K1": K1_F2, "K2": K2_F2, "K3": K3_F2, "K4": K4_F2, "K5": K5_F2},
     _F2_EDGES,
-    {"K1": "H1", "K2": "H1", "K3": "H2", "K4": "H3", "K5": "H3"},
 )
 
 # ---------------------------------------------------------------- Z diagram
@@ -255,7 +253,6 @@ Z_DIAGRAM = RestrictionDiagram(
     "Z",
     {"D8": D8_Z_FULL, "H1": H1_Z, "H2": H2_Z, "H3": H3_Z, "K3": K3_Z},
     _Z_EDGES,
-    {"K3": "H2"},
 )
 
 # --------------------------------------------------- coefficient reduction

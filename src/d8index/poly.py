@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 
-def _check_homogeneous(elems):
-    for e in elems:
-        if not e.is_homogeneous():
-            raise ValueError(f"inhomogeneous element {e}")
-
-
 def _common_ring(elems):
     rings = {e.ring for e in elems}
     if len(rings) > 1:
@@ -56,8 +50,8 @@ def graded_ideal_slice(gens, degree):
     g runs over the generators and m over the normal-form monomials with
     deg(m) + deg(g) = degree.  Each m * g is the shift of g's terms by m
     (distinct terms give distinct shifts), put in normal form once.  Zero
-    products are dropped."""
-    _check_homogeneous(gens)
+    products are dropped; an inhomogeneous generator raises ValueError
+    (`RingElement.degree`)."""
     ring = _common_ring(gens)
     out = []
     for g in gens:
@@ -156,10 +150,14 @@ def _membership_instance(gens, f):
     """Shared prelude of the membership deciders: checks the inputs and
     encodes the target f over the slice of f.  Returns (slice, target
     vector), or None when f = 0 (0 lies in every ideal).  Each decider
-    spans the slice of <gens> its own way."""
-    _check_homogeneous(list(gens) + [f])
+    spans the slice of <gens> its own way; reading each generator's
+    degree there rejects an inhomogeneous one, so only f = 0 checks the
+    generators here."""
     _common_ring(list(gens) + [f])
     if not f:
+        for g in gens:
+            if not g.is_homogeneous():
+                raise ValueError(f"inhomogeneous element {g}")
         return None
     degree = f.degree()
     if degree == 0:

@@ -91,8 +91,12 @@ class RingPresentation:
         for d in self.degrees:
             if not isinstance(d, int) or d < 1:
                 raise ValueError(f"generator degree {d!r} is not an integer >= 1")
+        for o in self.orders:
+            if o not in (2, 4):
+                raise ValueError(f"generator order {o!r} is not 2 or 4")
         self.relations = tuple(
-            (tuple(pat), tuple(sorted((tuple(m), int(c)) for m, c in dict(rep).items())))
+            (self._exponents(pat),
+             tuple(sorted((self._exponents(m), int(c)) for m, c in dict(rep).items())))
             for pat, rep in relations
         )
         self.display = tuple(display) if display is not None else self.gens
@@ -118,6 +122,15 @@ class RingPresentation:
         return f"RingPresentation({self.name})"
 
     # -- monomial helpers ------------------------------------------------
+
+    def _exponents(self, mono):
+        """`mono` as an exponent tuple, checked to be len(gens) ints >= 0."""
+        mono = tuple(mono)
+        if len(mono) != len(self.gens) or not all(
+                isinstance(e, int) and e >= 0 for e in mono):
+            raise ValueError(f"exponent tuple {mono!r} is not {len(self.gens)} "
+                             "integers >= 0")
+        return mono
 
     def monomial_degree(self, mono):
         return sum(e * d for e, d in zip(mono, self.degrees))

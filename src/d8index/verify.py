@@ -64,14 +64,16 @@ def suite_diagram(max_degree=12):
                              ring.check_confluence(12)))
     checks.append(_check("rewrite confluence in YW_F2", YW_F2.check_confluence(12)))
 
+    # raw monomials, normal or not, so that the rewrite rules fire
     rng = random.Random(97)
     ok = True
     for ring in CATALOG.values():
+        raw = {n: ring.all_exponents(n) for n in range(1, 11)}
         for _ in range(1000):
-            e = random_homogeneous(ring, rng.randint(1, 10), rng, strict=False)
-            nf = ring.normal_form(dict(e.terms))
-            if nf != e.terms:
-                ok = False
+            monos = raw[rng.randint(1, 10)]
+            once = ring.normal_form({m: rng.randint(1, 3) for m in
+                                     rng.sample(monos, min(3, len(monos)))})
+            ok = ok and ring.normal_form(once) == once
     checks.append(_check("normal form is idempotent, 1000 samples per ring", ok))
 
     for diagram in (F2_DIAGRAM, Z_DIAGRAM):
@@ -139,21 +141,17 @@ def suite_indexes(max_degree=64):
 
 # ------------------------------------------------------------------ oracle
 
-def random_homogeneous(ring, degree, rng, max_terms=3, strict=True):
-    """Random homogeneous element of the given degree (may be zero when
-    the degree piece vanishes or, for strict=False, on coefficient luck)."""
+def random_homogeneous(ring, degree, rng, max_terms=3):
+    """Random homogeneous element of the given degree, zero only when the
+    degree piece vanishes."""
     monos = ring.monomials(degree)
     if not monos:
         return ring.zero()
     count = rng.randint(1, min(max_terms, len(monos)))
     chosen = rng.sample(monos, count)
     hi = 1 if ring.coeff == "F2" else 3
-    terms = {m: rng.randint(1, hi) for m in chosen}
-    e = ring.element(terms)
-    if strict and not e:
-        terms = {chosen[0]: 1}
-        e = ring.element(terms)
-    return e
+    return (ring.element({m: rng.randint(1, hi) for m in chosen})
+            or ring.element({chosen[0]: 1}))
 
 
 def _random_instance(ring, rng, max_degree, slice_cap):

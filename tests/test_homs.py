@@ -95,6 +95,30 @@ def test_diagrams_commute():
         assert all(ok for _, ok in results), results
 
 
+def test_every_route_has_the_generator_images_of_res():
+    """A restriction is fixed by its generator images, so `res` may take
+    any route: every route between two nodes gives the same images."""
+    pairs = 0
+    for diagram in (F2_DIAGRAM, Z_DIAGRAM):
+        for src, dst in itertools.permutations(diagram.rings, 2):
+            routes = diagram.routes(src, dst)
+            if not routes:
+                with pytest.raises(KeyError):
+                    diagram.res(src, dst)
+                continue
+            images = diagram.res(src, dst).images
+            for label, hom in routes:
+                assert hom.images == images, label
+                pairs += 1
+    assert pairs > len(F2_DIAGRAM.edges) + len(Z_DIAGRAM.edges)
+    d8_to_k3 = {"F2": {"x": "0", "y": "0", "w": "t3^2"},
+                "Z": {"X": "0", "Y": "0", "M": "0", "W": "theta3^2"}}
+    for coeff, expected in d8_to_k3.items():
+        hom = restriction("D8", "K3", coeff)
+        assert hom.images == tuple(hom.codomain.parse(expected[s])
+                                   for s in hom.domain.gens)
+
+
 def test_reduction_cube_commutes():
     results = check_reduction_cube(8)
     assert len(results) == 7

@@ -33,6 +33,19 @@ def test_graded_ideal_slice_rejects_inhomogeneous():
         graded_ideal_slice([_yw("y+w")], 3)
 
 
+@pytest.mark.parametrize("decide", [ideal_contains, contains_by_enumeration])
+def test_deciders_reject_inhomogeneous(decide):
+    """An inhomogeneous generator raises for f = 0 and for f != 0, in or
+    past the slice degree, and so does an inhomogeneous target."""
+    bad = _yw("y+w")
+    for f in (YW_F2.zero(), _yw("y^3"), _yw("w^2"), _yw("y")):
+        for gens in ([bad], [_yw("y"), bad]):
+            with pytest.raises(ValueError, match="inhomogeneous"):
+                decide(gens, f)
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        decide([_yw("y")], _yw("y^3+w"))
+
+
 def _ring_span_vectors(gens, slice_):
     """What `ideal_slice_vectors` returns, formed in ring arithmetic."""
     return [element_vector(e, slice_)

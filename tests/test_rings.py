@@ -4,7 +4,8 @@ import random
 import pytest
 
 from d8index.rings import (CATALOG, ElementParseError, RingMismatchError,
-                           YW_F2, f2_polynomial_ring, get_ring)
+                           RingPresentation, YW_F2, f2_polynomial_ring,
+                           get_ring)
 
 ALL_RING_IDS = [
     "D8_F2", "D8_Z_FULL", "D8_Z_BOUND",
@@ -112,6 +113,24 @@ def test_generator_degrees_must_be_positive():
     for degrees in ([0], [-1], [1.0]):
         with pytest.raises(ValueError):
             f2_polynomial_ring(["t"], degrees)
+
+
+@pytest.mark.parametrize("orders, relations", [
+    ((2, 2), [((1,), {})]),                       # pattern too short
+    ((2, 2), [((1, 1, 0), {})]),                  # pattern too long
+    ((2, 2), [((1, -1), {})]),                    # negative exponent
+    ((2, 2), [((1, 1.0), {})]),                   # non-integer exponent
+    ((2, 2), [((0, 2), {(1,): 1})]),              # replacement too short
+    ((2, 2), [((0, 2), {(1, 0, 1): 1})]),         # replacement too long
+    ((3, 2), []),                                 # order 3
+    ((2, 8), []),                                 # order 8
+])
+def test_bad_presentations_are_rejected_at_construction(orders, relations):
+    """Only constructed, never rewritten: a malformed rule could make
+    `normal_form` loop."""
+    with pytest.raises(ValueError):
+        RingPresentation("bad", "Z", ("u", "v"), (1, 2), orders=orders,
+                         relations=relations)
 
 
 def test_monomial_basis_is_sorted_and_normal():
