@@ -26,6 +26,7 @@ classical bounds on the minimal admissible dimension (`ramos_lower`,
 show the Z criterion never improves on the upper bound.
 """
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 
 from .indexes import index_product_spheres_z, index_sphere_r4j_z, pi_poly
@@ -264,26 +265,19 @@ def default_scan_cap(j):
 
 
 def min_certified_d(j, criterion, d_cap=None):
-    """Smallest d <= d_cap the criterion certifies, or None.
+    """Smallest d in [1, d_cap] the criterion certifies, or None.
 
     Certification is upward closed in d, since each criterion's ideals
-    shrink as d grows (`criterion_chains_shrink`).  So one check at
-    d_cap decides whether any d certifies, and bisection over [1, d_cap]
-    finds the least one.
+    shrink as d grows (`criterion_chains_shrink`).  So `bisect_left`
+    over [1, d_cap] finds the least certified d, in at most
+    d_cap.bit_length() verdicts.
     """
     _check_positive(j=j)
     if d_cap is None:
         d_cap = default_scan_cap(j)
-    if d_cap < 1 or not admissible(d_cap, j, criterion).certified:
-        return None
-    lo, hi = 0, d_cap  # d = hi certifies, d = lo does not (d = 0 unchecked)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if admissible(mid, j, criterion).certified:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    ds = range(1, d_cap + 1)
+    i = bisect_left(ds, True, key=lambda d: admissible(d, j, criterion).certified)
+    return ds[i] if i < len(ds) else None
 
 
 def bound_report(j, scan_cap=None):

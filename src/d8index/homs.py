@@ -24,7 +24,8 @@ from .linalg import z4_kernel
 from .poly import element_vector, vector_element
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
-                    K5_F2, RingMismatchError, Z2xZ2_F2, Z2xZ2_Z)
+                    K5_F2, RingElement, RingMismatchError, Z2xZ2_F2,
+                    Z2xZ2_Z)
 
 __all__ = [
     "RingHom",
@@ -77,10 +78,7 @@ class RingHom:
                 raise ValueError(f"{self.name}: image of {dom.gens[i]} does not "
                                  f"kill the order-{dom.orders[i]} torsion")
         for pat, rep in dom.relations:
-            lhs = self._apply_monomial(pat)
-            rhs = self.codomain.zero()
-            for mono, coeff in rep:
-                rhs = rhs + coeff * self._apply_monomial(mono)
+            lhs, rhs = self._apply_monomial(pat), self._apply(rep)
             if lhs != rhs:
                 raise ValueError(f"{self.name}: relation on pattern {pat} is "
                                  f"not respected ({lhs} != {rhs})")
@@ -100,14 +98,20 @@ class RingHom:
                 result = result * self._gen_power(i, e)
         return result
 
+    def _apply(self, pairs):
+        """The image of sum coeff * mono over the (mono, coeff) pairs: the
+        raw terms of every coeff * image(mono), put in normal form once."""
+        terms = {}
+        for mono, coeff in pairs:
+            for m, c in self._apply_monomial(mono).terms.items():
+                terms[m] = terms.get(m, 0) + coeff * c
+        return RingElement(self.codomain, self.codomain.normal_form(terms))
+
     def __call__(self, element):
         if element.ring != self.domain:
             raise RingMismatchError(f"{self.name} applied to an element of "
                                     f"{element.ring.name}")
-        out = self.codomain.zero()
-        for mono, coeff in element.terms.items():
-            out = out + coeff * self._apply_monomial(mono)
-        return out
+        return self._apply(element.terms.items())
 
     def compose(self, inner):
         """self o inner (inner applied first)."""
@@ -148,7 +152,7 @@ def hom_kernel_slice(hom, degree):
     cslice = cod.graded_slice(degree)
     # column i is the image of the monomial on bit i of the domain slice
     images = [element_vector(hom._apply_monomial(m), cslice)
-              for m in sorted(dslice.index, key=dslice.index.get)]
+              for m in reversed(dslice.basis)]
     return [vector_element(v, dslice, dom)
             for v in z4_kernel(images, cslice.mask4, dslice.mask4)]
 

@@ -23,7 +23,7 @@ bitplane addition and never touches the elimination code paths.
 from operator import lshift
 
 from .linalg import z4_in_span, z4_log2_order
-from .rings import GradedSlice, RingMismatchError
+from .rings import GradedSlice, RingElement, RingMismatchError
 
 __all__ = [
     "GradedSlice",
@@ -62,8 +62,8 @@ def graded_ideal_slice(gens, degree):
             continue
         terms = g.terms.items()
         for mono in ring.monomials(mdeg):
-            prod = ring.element({tuple(a + b for a, b in zip(mono, t)): c
-                                 for t, c in terms})
+            prod = RingElement(ring, ring.normal_form(
+                {tuple(a + b for a, b in zip(mono, t)): c for t, c in terms}))
             if prod:
                 out.append(prod)
     return out
@@ -98,8 +98,8 @@ def ideal_slice_vectors(gens, slice_):
     def fill(k):
         mono = tuple(k >> s & field for s in shifts)
         i = index.get(mono)  # a normal monomial is one bit
-        memo[k] = v = ((1 << i, 0) if i is not None
-                       else element_vector(ring.element({mono: 1}), slice_))
+        memo[k] = v = ((1 << i, 0) if i is not None else element_vector(
+            RingElement(ring, ring.normal_form({mono: 1})), slice_))
         return v
 
     out = []
@@ -156,8 +156,7 @@ def _membership_instance(gens, f):
     _common_ring(list(gens) + [f])
     if not f:
         for g in gens:
-            if not g.is_homogeneous():
-                raise ValueError(f"inhomogeneous element {g}")
+            g.degree()  # raises ValueError on an inhomogeneous generator
         return None
     degree = f.degree()
     if degree == 0:

@@ -157,6 +157,14 @@ class RingPresentation:
     def is_normal_monomial(self, mono):
         return self._matching_rule(mono) is None
 
+    @staticmethod
+    def _rewrite(mono, coeff, pat, rep):
+        """One rewrite step of coeff * mono by the rule (pat, rep), pat
+        dividing mono: the raw terms of coeff * (mono/pat) * rep."""
+        rest = tuple(m - p for m, p in zip(mono, pat))
+        return [(tuple(a + b for a, b in zip(rest, rmono)), coeff * rcoeff)
+                for rmono, rcoeff in rep]
+
     def normal_form(self, terms):
         """Rewrite a raw {monomial: int} dict to normal form.
 
@@ -173,12 +181,8 @@ class RingPresentation:
             rule = self._matching_rule(mono)
             if rule is None:
                 out[mono] = out.get(mono, 0) + coeff
-                continue
-            pat, rep = rule
-            rest = tuple(m - p for m, p in zip(mono, pat))
-            for rmono, rcoeff in rep:
-                stack.append((tuple(a + b for a, b in zip(rest, rmono)),
-                              coeff * rcoeff))
+            else:
+                stack += self._rewrite(mono, coeff, *rule)
         return {mono: r for mono, c in out.items()
                 if (r := self._reduce_coeff(mono, c))}
 
@@ -187,15 +191,10 @@ class RingPresentation:
         fires first, for every monomial of degree <= max_degree."""
         for degree in range(max_degree + 1):
             for mono in self.all_exponents(degree):
-                firsts = []
-                for pat, rep in self.relations:
-                    if not all(m >= p for m, p in zip(mono, pat)):
-                        continue
-                    rest = tuple(m - p for m, p in zip(mono, pat))
-                    # rep's monomials are distinct, so are their shifts
-                    firsts.append(self.normal_form(
-                        {tuple(a + b for a, b in zip(rest, rmono)): rcoeff
-                         for rmono, rcoeff in rep}))
+                # rep's monomials are distinct, so are their shifts
+                firsts = [self.normal_form(dict(self._rewrite(mono, 1, pat, rep)))
+                          for pat, rep in self.relations
+                          if all(m >= p for m, p in zip(mono, pat))]
                 if firsts and any(f != firsts[0] for f in firsts[1:]):
                     return False
         return True
@@ -235,9 +234,10 @@ class RingPresentation:
 
     def graded_slice(self, degree):
         """The slice of the degree.  The most recent slice is kept and
-        returned again while the degree stays the same, as it does for
-        every step of a `min_certified_d` bisection; one slice per ring
-        keeps the memory flat."""
+        returned again while the degree stays the same; one slice per
+        ring keeps the memory flat.  A `min_certified_d` bisection tests
+        at one degree, except Z_D8 at odd j, whose two generators of A_j
+        differ in degree and so rebuild the slice within a step."""
         if self._slice is None or self._slice.degree != degree:
             basis = self.monomials(degree)
             self._slice = GradedSlice(degree, basis,
@@ -247,15 +247,13 @@ class RingPresentation:
     # -- element constructors --------------------------------------------
 
     def element(self, terms):
-        terms = dict(terms)
-        for mono in terms:
-            if len(mono) != len(self.gens):
-                raise ValueError(f"exponent tuple {mono} does not match the "
-                                 f"{len(self.gens)} generators of {self.name}")
-        return RingElement(self, self.normal_form(terms), _normal=True)
+        """The element of a {monomial: int} dict, each monomial checked
+        by `_exponents`, in normal form."""
+        return RingElement(self, self.normal_form(
+            {self._exponents(m): c for m, c in dict(terms).items()}))
 
     def zero(self):
-        return RingElement(self, {}, _normal=True)
+        return RingElement(self, {})
 
     def one(self):
         return self.element({(0,) * len(self.gens): 1})
@@ -323,14 +321,16 @@ class RingElement:
     """Normal-form element of a ring presentation.
 
     Immutable by convention; `terms` maps normal monomials to nonzero
-    coefficients already reduced modulo their additive order.
+    coefficients already reduced modulo their additive order.  The
+    constructor wraps such terms as they are; `RingPresentation.element`
+    checks and normalises raw ones.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms, _normal=False):
+    def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms if _normal else ring.normal_form(dict(terms))
+        self.terms = terms
 
     # -- queries ---------------------------------------------------------
 
@@ -370,7 +370,7 @@ class RingElement:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return self.ring.element(terms)
+        return RingElement(self.ring, self.ring.normal_form(terms))
 
     __radd__ = __add__
 
@@ -382,14 +382,15 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.ring.element({m: c * other for m, c in self.terms.items()})
+            return RingElement(self.ring, self.ring.normal_form(
+                {m: c * other for m, c in self.terms.items()}))
         self._check_ring(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(m1, m2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return self.ring.element(terms)
+        return RingElement(self.ring, self.ring.normal_form(terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)

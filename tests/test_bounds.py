@@ -144,6 +144,25 @@ def test_min_certified_d_edge_caps():
         min_certified_d(2, "F3_D8", 10)
 
 
+def test_min_certified_d_probes_at_most_bit_length(monkeypatch):
+    """Bisection probes only d in [1, cap], at most cap.bit_length() times."""
+    probed = []
+
+    def recording(d, j, criterion):
+        probed.append(d)
+        return admissible(d, j, criterion)
+
+    monkeypatch.setattr(bounds, "admissible", recording)
+    for j in range(1, 13):
+        for criterion in CRITERION_REGISTRY:
+            for cap in (1, 2, 3, 5, 24, None):
+                probed.clear()
+                min_certified_d(j, criterion, cap)
+                top = cap or default_scan_cap(j)
+                assert all(1 <= d <= top for d in probed), (criterion, j, cap)
+                assert len(probed) <= top.bit_length(), (criterion, j, cap)
+
+
 def test_criterion_ideal():
     assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
     assert criterion_ideal("Z_D8", 4) == b_ideal(4)

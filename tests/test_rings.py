@@ -79,6 +79,15 @@ def test_rewrite_confluence(name):
     assert ring.check_confluence(12)
 
 
+def test_confluence_check_can_fail():
+    """x^2 -> y^2, x*y -> 0 terminates but is not confluent: x^2*y
+    rewrites to y^3 by one rule and to 0 by the other."""
+    ring = RingPresentation("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
+                            relations=[((2, 0), {(0, 2): 1}), ((1, 1), {})])
+    assert not ring.check_confluence(12)
+    assert ring.check_confluence(2)
+
+
 @pytest.mark.parametrize("name", ALL_RING_IDS)
 def test_normal_form_idempotent(name):
     ring = get_ring(name)
@@ -131,6 +140,12 @@ def test_bad_presentations_are_rejected_at_construction(orders, relations):
     with pytest.raises(ValueError):
         RingPresentation("bad", "Z", ("u", "v"), (1, 2), orders=orders,
                          relations=relations)
+
+
+@pytest.mark.parametrize("mono", [(-1, 2), (1.5, 1), (1,), (1, 1, 0)])
+def test_element_rejects_bad_exponents(mono):
+    with pytest.raises(ValueError):
+        YW_F2.element({mono: 1})
 
 
 def test_monomial_basis_is_sorted_and_normal():
