@@ -23,7 +23,7 @@ from .indexes import (IndexIdeal, capital_pi_poly, index_h1_z_product,
                       index_rep_sphere_z2k, index_sphere_r4j_f2,
                       index_sphere_r4j_z, index_torus_z2k,
                       join_scheme_obstruction, lucas_binom_mod2, pi_in_d8,
-                      pi_poly, pi_poly_binomial, rho_poly)
+                      pi_poly, rho_poly)
 from .poly import (GradedSlice, contains_by_enumeration, graded_ideal_slice,
                    ideal_contains, ideal_subset, slice_intersection_is_zero)
 from .rings import (CATALOG, ElementParseError, RingElement, RingMismatchError,
@@ -46,7 +46,7 @@ __all__ = [
     "index_rep_sphere_z2k", "index_sphere_r4j_f2", "index_sphere_r4j_z",
     "index_torus_z2k", "join_scheme_obstruction", "lift_bound_to_full",
     "lucas_binom_mod2", "min_certified_d", "mvz_upper", "pi_in_d8", "pi_poly",
-    "pi_poly_binomial", "ramos_lower", "restriction", "rho_poly",
-    "slice_intersection_is_zero", "verify_inclusion_power_case",
-    "verify_inclusion_step", "verify_membership_transfer",
+    "ramos_lower", "restriction", "rho_poly", "slice_intersection_is_zero",
+    "verify_inclusion_power_case", "verify_inclusion_step",
+    "verify_membership_transfer",
 ]

@@ -8,6 +8,9 @@ some target lies outside an index ideal I_d:
 * Z_D8:   A_j not contained in B_d                        in the bound ring
 * H1_F2:  a^j b^j (a+b)^j not in <a^{d+1}, (a+b)^{d+1}>   in F2[a,b]
 
+H1_F2 is decided in the basis (a, a+b), where its ideal is the monomial
+ideal <a^{d+1}, b^{d+1}> (`criterion_ideal`).
+
 A_j is the generator set of the integral sphere index and B_d that of
 the integral product index; an equivariant map forces the product index
 to contain the sphere index, so it is NON-inclusion that certifies.
@@ -29,7 +32,8 @@ show the Z criterion never improves on the upper bound.
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 
-from .indexes import index_product_spheres_z, index_sphere_r4j_z, pi_poly
+from .indexes import (index_product_spheres_z, index_sphere_r4j_z,
+                      lucas_binom_mod2, pi_poly)
 from .poly import ideal_contains, ideal_subset
 from .rings import D8_Z_BOUND, H1_F2, YW_F2
 
@@ -144,17 +148,11 @@ def b_ideal(d):
 
 # -------------------------------------------------------------- index chains
 
-def _h1_power(n, j=0):
-    """a^j b^j (a+b)^n in F2[a,b], written out by Lucas' theorem:
-    binom(n, k) is odd iff k is a bitwise subset of n, so the terms are
-    a^(j+k) b^(j+n-k) for those k."""
-    terms = {}
-    k = n
-    while True:
-        terms[(j + k, j + n - k)] = 1
-        if not k:
-            return H1_F2.element(terms)
-        k = (k - 1) & n
+def _h1_target(j):
+    """a^j b^j (a+b)^j in F2[a,b], written out by Lucas' rule: the terms
+    are a^(j+k) b^(2j-k) for the k with binom(j, k) odd."""
+    return H1_F2.element({(j + k, 2 * j - k): 1 for k in range(j + 1)
+                          if lucas_binom_mod2(j, k)})
 
 
 def criterion_targets(criterion, j):
@@ -167,21 +165,27 @@ def criterion_targets(criterion, j):
     if criterion == "Z_D8":
         return a_ideal(j)
     if criterion == "H1_F2":
-        return [_h1_power(j, j)]
+        return [_h1_target(j)]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
 def criterion_ideal(criterion, d):
     """Generators of the ideal I_d that a criterion tests its targets
-    against: <pi_{d+1}, pi_{d+2}> for F2_D8, B_d for Z_D8 and
-    <a^{d+1}, (a+b)^{d+1}> for H1_F2."""
+    against: <pi_{d+1}, pi_{d+2}> for F2_D8, B_d for Z_D8 and the
+    monomial ideal <a^{d+1}, b^{d+1}> for H1_F2.
+
+    The H1 criterion of the paper tests against <a^{d+1}, (a+b)^{d+1}>.
+    The involution b -> a+b of F2[a,b] maps that ideal onto
+    <a^{d+1}, b^{d+1}> and fixes the target a^j b^j (a+b)^j, so the
+    verdict is the same, and every span vector of the monomial ideal is
+    one monomial.  The witness still names the paper's ideal."""
     _check_positive(d=d)
     if criterion == "F2_D8":
         return [pi_poly(d + 1), pi_poly(d + 2)]
     if criterion == "Z_D8":
         return b_ideal(d)
     if criterion == "H1_F2":
-        return [H1_F2.element({(d + 1, 0): 1}), _h1_power(d + 1)]
+        return [H1_F2.element({(d + 1, 0): 1}), H1_F2.element({(0, d + 1): 1})]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -219,9 +223,9 @@ def criterion_chain_step(criterion, d):
         # <Pi_(n+1), Pi_(n+2) = Y*Pi_(n+1) + W*Pi_n, M*Pi_n>
         Y, M, W = (D8_Z_BOUND.gen(s) for s in ("Y", "M", "W"))
         return [[0, 1], [W, Y], [M, 0]]
-    if criterion == "H1_F2":  # a^(d+2) = a*a^(d+1), likewise for a+b
+    if criterion == "H1_F2":  # a^(d+2) = a*a^(d+1), b^(d+2) = b*b^(d+1)
         a, b = H1_F2.gen("a"), H1_F2.gen("b")
-        return [[a, 0], [0, a + b]]
+        return [[a, 0], [0, b]]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -319,7 +323,7 @@ def verify_membership_transfer(d, j):
     criterion to the symmetric one."""
     _check_positive(d=d, j=j)
     a, c = H1_F2.gen("a"), H1_F2.gen("b")  # c := a+b plays the second variable
-    target = _h1_power(j, j)  # a^j c^j (a+c)^j
+    target = _h1_target(j)  # a^j c^j (a+c)^j
     if not ideal_contains([a ** (d + 1), c ** (d + 1)], target):
         return True
     return ideal_contains([a ** (d + 1) + c ** (d + 1),

@@ -8,8 +8,10 @@ pi/Pi polynomial families that present the product-of-spheres indexes.
 pi_d lives in F2[y,w] (deg y=1, w=2) and Pi_d in the bound ring
 Z[Y,M,W]/(2Y,2M,4W,M^2-WY) (deg Y=2, W=4); both satisfy the recurrence
 p_0 = 0, p_1 = y, p_{d+1} = y*p_d + w*p_{d-1}, equivalently the
-generating function y/(1-y-w), and expand to
-sum_i binom(d-1-i, i) w^i y^{d-2i} with mod-2 binomial coefficients.
+generating function y/(1-y-w).  Both are written out term by term as
+sum_i binom(d-1-i, i) w^i y^{d-2i}, each binomial read mod 2 by Lucas'
+rule (`lucas_binom_mod2`, the one statement of that rule); the
+recurrence itself is run only to check them.
 
 The module ends with the identities the bounds rest on, each stated
 once.  Where callers sweep different ranges the range is the only
@@ -27,9 +29,7 @@ __all__ = [
     "IndexIdeal",
     "lucas_binom_mod2",
     "pi_poly",
-    "pi_poly_binomial",
     "capital_pi_poly",
-    "capital_pi_poly_binomial",
     "rho_poly",
     "pi_in_d8",
     "index_sphere_r4j_f2",
@@ -87,49 +87,30 @@ def lucas_binom_mod2(n, k):
     return 1 if (n & k) == k else 0
 
 
-_PI_CACHE = {}
-
-
 def _pi_family(ring, y_sym, w_sym, d):
-    """The recurrence family p_0=0, p_1=y, p_{d+1} = y*p_d + w*p_{d-1}."""
+    """p_d = sum of w^i y^(d-2i) over the i with binom(d-1-i, i) odd,
+    written term by term: p_0 = 0, p_1 = y.  It solves the recurrence
+    p_(d+1) = y*p_d + w*p_(d-1) (`recurrence_matches_binomial`)."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    key = (ring, y_sym, w_sym)
-    chain = _PI_CACHE.setdefault(key, [ring.zero(), ring.gen(y_sym)])
-    y, w = ring.gen(y_sym), ring.gen(w_sym)
-    while len(chain) <= d:
-        chain.append(y * chain[-1] + w * chain[-2])
-    return chain[d]
-
-
-def _pi_binomial(ring, y_sym, w_sym, d):
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    y, w = ring.gen(y_sym), ring.gen(w_sym)
-    total = ring.zero()
+    iy, iw = ring.gens.index(y_sym), ring.gens.index(w_sym)
+    terms = {}
     for i in range((d + 1) // 2):  # binom(d-1-i, i) = 0 for larger i
         if lucas_binom_mod2(d - 1 - i, i):
-            total = total + w ** i * y ** (d - 2 * i)
-    return total
+            mono = [0] * len(ring.gens)
+            mono[iy], mono[iw] = d - 2 * i, i
+            terms[tuple(mono)] = 1
+    return ring.element(terms)
 
 
 def pi_poly(d):
-    """pi_d in F2[y,w], computed by the recurrence."""
+    """pi_d in F2[y,w], written out by Lucas' rule."""
     return _pi_family(YW_F2, "y", "w", d)
-
-
-def pi_poly_binomial(d):
-    """pi_d by direct binomial expansion; cross-check for pi_poly."""
-    return _pi_binomial(YW_F2, "y", "w", d)
 
 
 def capital_pi_poly(d):
     """Pi_d in the bound ring, homogeneous of degree 2d."""
     return _pi_family(D8_Z_BOUND, "Y", "W", d)
-
-
-def capital_pi_poly_binomial(d):
-    return _pi_binomial(D8_Z_BOUND, "Y", "W", d)
 
 
 def pi_in_d8(d):
@@ -333,18 +314,24 @@ FULL_IMAGES_DEGREE = 20
 
 
 def recurrence_matches_binomial(top):
-    """pi_d and Pi_d by the recurrence equal their binomial expansions
-    for every d <= top."""
-    return all(pi_poly(d) == pi_poly_binomial(d)
-               and capital_pi_poly(d) == capital_pi_poly_binomial(d)
-               for d in range(top + 1))
+    """The recurrence p_0 = 0, p_1 = y, p_(d+1) = y*p_d + w*p_(d-1), run
+    by ring arithmetic, gives the Lucas-written pi_d, Pi_d and pi_d in
+    H*(D8;F2) for every d <= top."""
+    for family, ring, y_sym, w_sym in ((pi_poly, YW_F2, "y", "w"),
+                                       (capital_pi_poly, D8_Z_BOUND, "Y", "W"),
+                                       (pi_in_d8, D8_F2, "y", "w")):
+        y, w = ring.gen(y_sym), ring.gen(w_sym)
+        p, p_next = ring.zero(), y
+        for d in range(top + 1):
+            if family(d) != p:
+                return False
+            p, p_next = p_next, y * p_next + w * p
+    return True
 
 
 def capital_pi_powers_of_two_hold():
-    """Pi_(2^q) = its binomial expansion = Y^(2^q) for
-    1 <= q <= POWERS_OF_TWO_Q."""
-    return all(capital_pi_poly(2 ** q) == capital_pi_poly_binomial(2 ** q)
-               == D8_Z_BOUND.gen("Y") ** (2 ** q)
+    """Pi_(2^q) = Y^(2^q) for 1 <= q <= POWERS_OF_TWO_Q."""
+    return all(capital_pi_poly(2 ** q) == D8_Z_BOUND.gen("Y") ** (2 ** q)
                for q in range(1, POWERS_OF_TWO_Q + 1))
 
 

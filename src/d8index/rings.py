@@ -107,7 +107,7 @@ class RingPresentation:
         self._print_order = sorted(range(len(self.gens)),
                                    key=lambda i: (-self.degrees[i], i))
         self._mono_cache = {}
-        self._slice = None
+        self._slices = []  # the two most recently used graded slices
         # equality is structural: the name is only a catalog label
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
@@ -199,50 +199,72 @@ class RingPresentation:
                     return False
         return True
 
-    def all_exponents(self, degree):
-        """Every exponent tuple of the given degree, normal or not, in
-        ascending lexicographic order.  The last exponent is solved from
-        the others, not looped over."""
+    def _exponent_walk(self, degree, staircase):
+        """Exponent tuples of the degree in ascending lexicographic order:
+        every one, or with `staircase` only the normal ones.  The last
+        exponent is solved from the remaining degree, not looped over.
+        On the staircase, the loop over exponent i stops at the first
+        value that completes a rule pattern whose later entries are all
+        0, since every completion is then divisible by that pattern; a
+        finished tuple is checked with `is_normal_monomial` for the
+        patterns that reach the last generator."""
         degrees = self.degrees
         if not degrees or degree < 0:
             return [()] if degree == 0 else []
         last = len(degrees) - 1
+        # closing[i]: the patterns whose last nonzero entry is i < last
+        closing = [[] for _ in degrees]
+        if staircase:
+            for pat, _ in self.relations:
+                nonzero = [i for i, p in enumerate(pat) if p]
+                if nonzero and nonzero[-1] < last:
+                    closing[nonzero[-1]].append(pat)
         result = []
 
         def rec(i, remaining, prefix):
             d = degrees[i]
             if i == last:
                 if remaining % d == 0:
-                    result.append(prefix + (remaining // d,))
+                    mono = prefix + (remaining // d,)
+                    if not staircase or self.is_normal_monomial(mono):
+                        result.append(mono)
                 return
-            for e in range(remaining // d + 1):
+            top = remaining // d
+            for pat in closing[i]:
+                if all(e >= p for e, p in zip(prefix, pat)):
+                    top = min(top, pat[i] - 1)
+            for e in range(top + 1):
                 rec(i + 1, remaining - e * d, prefix + (e,))
 
         rec(0, degree, ())
         return result
 
+    def all_exponents(self, degree):
+        """Every exponent tuple of the given degree, normal or not, in
+        ascending lexicographic order."""
+        return self._exponent_walk(degree, staircase=False)
+
     def monomials(self, degree):
-        """Normal-form monomials of the degree, descending lex order."""
+        """Normal-form monomials of the degree (the staircase: those no
+        rule pattern divides), in descending lex order."""
         cached = self._mono_cache.get(degree)
         if cached is None:
-            cached = sorted(
-                (m for m in self.all_exponents(degree) if self.is_normal_monomial(m)),
-                reverse=True,
-            )
+            cached = self._exponent_walk(degree, staircase=True)[::-1]
             self._mono_cache[degree] = cached
         return list(cached)
 
     def graded_slice(self, degree):
-        """The slice of the degree.  The most recent slice is kept and
-        returned again while the degree stays the same; one slice per
-        ring keeps the memory flat.  A `min_certified_d` bisection tests
-        at one degree, except Z_D8 at odd j, whose two generators of A_j
-        differ in degree and so rebuild the slice within a step."""
-        if self._slice is None or self._slice.degree != degree:
+        """The slice of the degree.  The two most recently used slices are
+        kept and returned again for their degrees, so memory stays
+        bounded.  Two slots cover a `Z_D8` bisection step at odd j, whose
+        generators of A_j have degrees 3j+2 and 3j+3, and 3j+3 is also
+        the degree of the next, even, j."""
+        slice_ = next((s for s in self._slices if s.degree == degree), None)
+        if slice_ is None:
             basis = self.monomials(degree)
-            self._slice = GradedSlice(degree, basis,
-                                      [self.monomial_order(m) for m in basis])
-        return self._slice
+            slice_ = GradedSlice(degree, basis, [self.monomial_order(m) for m in basis])
+        self._slices = [s for s in self._slices if s is not slice_][-1:] + [slice_]
+        return slice_
 
     # -- element constructors --------------------------------------------
 

@@ -15,7 +15,7 @@ from d8index.indexes import (FULL_IMAGES_DEGREE, GENERATING_FUNCTION_DEGREE,
                              full_index_restriction_images_hold,
                              join_gives_sphere_index, join_scheme_vanishes,
                              pi_restricts_to_rho, recurrence_matches_binomial,
-                             rho_recurrence_holds)
+                             lucas_binom_mod2, rho_recurrence_holds)
 from d8index.poly import ideal_subset
 from d8index.rings import CATALOG
 from d8index.verify import suite_oracle
@@ -41,10 +41,17 @@ def test_criterion_1_equality_cases():
 def h1_closed_form_min_d(j):
     """Least d the H1 criterion certifies, in closed form.  With c = a+b
     the ideal is the monomial ideal <a^(d+1), c^(d+1)> and the target is
-    sum_k binom(j,k) a^(j+k) c^(2j-k); binom(j,k) is odd iff k is a
-    bitwise subset of j (Lucas), so d certifies iff some such k has
-    j+k <= d and 2j-k <= d."""
-    return min(max(j + k, 2 * j - k) for k in range(j + 1) if k & j == k)
+    sum_k binom(j,k) a^(j+k) c^(2j-k), so d certifies iff some k with
+    binom(j,k) odd has j+k <= d and 2j-k <= d."""
+    return min(max(j + k, 2 * j - k) for k in range(j + 1)
+               if lucas_binom_mod2(j, k))
+
+
+def z_closed_form_min_d(j):
+    """Least d the Z criterion certifies, in closed form: the upper bound
+    2^(q+1)+r, except 2j+1 at j = 2^k - 1, where the integral index is
+    strictly weaker than the (Z2)^2 bound."""
+    return 2 * j + 1 if j & (j + 1) == 0 else mvz_upper(j, 2)
 
 
 def test_criterion_2_bound_coincidence():
@@ -55,26 +62,26 @@ def test_criterion_2_bound_coincidence():
         expected = 2 ** (q + 1) + r
         f2 = min_certified_d(j, "F2_D8", default_scan_cap(j))
         h1 = min_certified_d(j, "H1_F2", default_scan_cap(j))
-        closed_form = h1_closed_form_min_d(j)
-        if not (f2 == h1 == expected == closed_form):
-            failures.append((j, f2, h1, expected, closed_form))
+        z = min_certified_d(j, "Z_D8", default_scan_cap(j))
+        if not (f2 == h1 == expected == h1_closed_form_min_d(j)
+                and z == z_closed_form_min_d(j)):
+            failures.append((j, f2, h1, expected, z))
     _report(2, "F2 and H1 criteria certify at exactly 2^(q+1)+r, the H1 "
-               "closed form, for j <= 64", failures)
+               "closed form, and Z at its closed form, for j <= 64", failures)
 
 
 def test_criterion_3_no_improvement_for_z():
     failures = []
-    for j in range(1, 13):
-        q = j.bit_length() - 1
-        r = j - (1 << q)
-        d = 2 ** (q + 1) + r - 1
+    for j in range(1, 65):
+        d = mvz_upper(j, 2) - 1
         if not ideal_subset(a_ideal(j), b_ideal(d)):
             failures.append(("inclusion", j, d))
+    for j in range(1, 13):
         z_min = min_certified_d(j, "Z_D8", 24)
         if z_min is not None and z_min < mvz_upper(j, 2):
             failures.append(("min_d", j, z_min))
     _report(3, "A_j inside B_(2^(q+1)+r-1), so the Z criterion never "
-               "certifies below the upper bound, j <= 12", failures)
+               "certifies below the upper bound; inclusion for j <= 64", failures)
 
 
 def test_criterion_4_polynomial_identities():

@@ -9,10 +9,13 @@ from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict, a_ideal,
                             dimension_condition, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_step, verify_membership_transfer)
+from d8index.homs import RingHom
 from d8index.indexes import pi_poly
+from d8index.poly import ideal_contains
 from d8index.rings import YW_F2, get_ring
 
 BOUND = get_ring("D8_Z_BOUND")
+H1 = get_ring("H1_F2")
 
 
 def test_admissible_f2_examples():
@@ -166,15 +169,40 @@ def test_min_certified_d_probes_at_most_bit_length(monkeypatch):
 def test_criterion_ideal():
     assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
     assert criterion_ideal("Z_D8", 4) == b_ideal(4)
-    a, b = (get_ring("H1_F2").gen(s) for s in ("a", "b"))
-    assert criterion_ideal("H1_F2", 2) == [a ** 3, (a + b) ** 3]
-    # the Lucas-built (a+b)^n against `**`, n <= 256
-    for d in range(1, 256):
-        assert criterion_ideal("H1_F2", d) == [a ** (d + 1), (a + b) ** (d + 1)]
+    a, b = (H1.gen(s) for s in ("a", "b"))
+    assert criterion_ideal("H1_F2", 2) == [a ** 3, b ** 3]
     with pytest.raises(KeyError):
         criterion_ideal("F3_D8", 2)
     with pytest.raises(ValueError):
         criterion_ideal("F2_D8", 0)
+
+
+def test_h1_ideal_is_the_paper_ideal_in_the_basis_a_and_a_plus_b():
+    """b -> a+b maps the paper's <a^(d+1), (a+b)^(d+1)> onto
+    `criterion_ideal("H1_F2", d)` and fixes the target, so the criterion
+    asks the paper's question.  The map is an involution, so it is
+    enough to map the generators of `criterion_ideal` onto the paper's
+    (the cheap direction: b^(d+1) has one term)."""
+    swap = RingHom(H1, H1, {"a": "a", "b": "a+b"})
+    a, b = (H1.gen(s) for s in ("a", "b"))
+    assert [swap(swap(g)) for g in (a, b)] == [a, b]
+    for d in range(1, 257):
+        paper = [a ** (d + 1), (a + b) ** (d + 1)]
+        assert [swap(g) for g in criterion_ideal("H1_F2", d)] == paper
+    for j in range(1, 65):
+        targets = criterion_targets("H1_F2", j)
+        assert [swap(t) for t in targets] == targets
+
+
+def test_h1_verdicts_match_the_paper_ideal():
+    """Membership in the paper's ideal is the negation of the verdict, on
+    both sides of the bound."""
+    a, b = (H1.gen(s) for s in ("a", "b"))
+    for j in range(1, 33):
+        [target] = criterion_targets("H1_F2", j)
+        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+            inside = ideal_contains([a ** (d + 1), (a + b) ** (d + 1)], target)
+            assert inside == (not admissible(d, j, "H1_F2").certified), (d, j)
 
 
 def test_criterion_targets():

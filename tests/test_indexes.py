@@ -3,7 +3,7 @@ import math
 import pytest
 
 from d8index.indexes import (capital_pi_generating_function_holds,
-                             capital_pi_poly, capital_pi_poly_binomial,
+                             capital_pi_poly,
                              capital_pi_reduces_to_pi,
                              full_index_restriction_images_hold,
                              index_h1_z_product, index_join,
@@ -14,7 +14,7 @@ from d8index.indexes import (capital_pi_generating_function_holds,
                              join_gives_sphere_index, join_scheme_obstruction,
                              join_scheme_vanishes,
                              lucas_binom_mod2, pi_in_d8, pi_poly,
-                             pi_poly_binomial, pi_restricts_to_rho,
+                             pi_restricts_to_rho,
                              product_index_chains_shrink,
                              recurrence_matches_binomial, rho_poly,
                              rho_recurrence_holds,
@@ -56,16 +56,16 @@ def test_capital_pi_examples():
 
 
 def test_recurrence_matches_binomial():
-    assert recurrence_matches_binomial(79)
-    for d in range(1, 80):
+    """pi_d, Pi_d and pi_d in H*(D8;F2), written out by Lucas' rule,
+    equal the ring-arithmetic recurrence."""
+    assert recurrence_matches_binomial(256)
+    for d in range(1, 257):
         assert pi_poly(d).degree() == d
         assert capital_pi_poly(d).degree() == 2 * d
 
 
 def test_negative_d_rejected():
-    pi_in_d8(5)  # a cached chain must not answer for d = -1
-    for family in (pi_poly, pi_poly_binomial, capital_pi_poly,
-                   capital_pi_poly_binomial, pi_in_d8, rho_poly):
+    for family in (pi_poly, capital_pi_poly, pi_in_d8, rho_poly):
         with pytest.raises(ValueError, match="d must be >= 0"):
             family(-1)
 

@@ -118,6 +118,18 @@ def test_exponent_enumeration_matches_product(name):
             (e for e in expected if ring.is_normal_monomial(e)), reverse=True)
 
 
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in ("D8_Z_BOUND", "D8_F2") for n in (97, 384, 768)
+] + [("D8_Z_FULL", 97), ("D8_Z_FULL", 384)])
+def test_staircase_matches_filtered_exponents_at_large_degree(name, n):
+    """The staircase lists exactly the normal tuples of `all_exponents`,
+    at the degrees of deep verdicts."""
+    ring = get_ring(name)
+    assert ring.monomials(n) == sorted(
+        (e for e in ring.all_exponents(n) if ring.is_normal_monomial(e)),
+        reverse=True)
+
+
 def test_generator_degrees_must_be_positive():
     for degrees in ([0], [-1], [1.0]):
         with pytest.raises(ValueError):
@@ -168,9 +180,16 @@ def test_graded_slice_orders():
 
 
 def test_graded_slice_is_reused_at_one_degree():
+    """The two most recently used slices are returned again; a third
+    degree drops the older one."""
     ring = get_ring("D8_Z_FULL")
     assert ring.graded_slice(9) is ring.graded_slice(9)
     assert ring.graded_slice(8) is not ring.graded_slice(9)
+    s8, s9 = ring.graded_slice(8), ring.graded_slice(9)
+    assert ring.graded_slice(8) is s8 and ring.graded_slice(9) is s9
+    s10 = ring.graded_slice(10)
+    assert ring.graded_slice(9) is s9 and ring.graded_slice(10) is s10
+    assert ring.graded_slice(8) is not s8
 
 
 def test_parse_and_print_round_trip():
