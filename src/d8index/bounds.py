@@ -41,16 +41,12 @@ __all__ = [
     "CRITERION_REGISTRY",
     "AdmissibilityVerdict",
     "BoundReport",
-    "admissible_f2",
     "admissible_z",
-    "admissible_h1_f2",
     "admissible",
     "criterion_targets",
     "criterion_ideal",
     "criterion_chain_step",
     "criterion_chains_shrink",
-    "a_ideal",
-    "b_ideal",
     "ramos_lower",
     "mvz_upper",
     "min_certified_d",
@@ -59,7 +55,6 @@ __all__ = [
     "verify_inclusion_power_case",
     "verify_inclusion_step",
     "verify_membership_transfer",
-    "dimension_condition",
 ]
 
 
@@ -112,11 +107,6 @@ def admissible(d, j, criterion):
                                 _witness(criterion, d, j, failing))
 
 
-def admissible_f2(d, j):
-    """Certify (d, j, 2) from the mod-2 D8 index of S^d x S^d."""
-    return admissible(d, j, "F2_D8")
-
-
 def admissible_z(d, j, literal_inclusion=False):
     """Certify (d, j, 2) from the integral D8 indexes.
 
@@ -127,23 +117,6 @@ def admissible_z(d, j, literal_inclusion=False):
     if literal_inclusion:
         verdict = replace(verdict, certified=not verdict.certified)
     return verdict
-
-
-def admissible_h1_f2(d, j):
-    """Certify (d, j, 2) from the (Z2)^2 subgroup index criterion."""
-    return admissible(d, j, "H1_F2")
-
-
-def a_ideal(j):
-    """Generators of the integral sphere index A_j (bound ring)."""
-    _check_positive(j=j)
-    return list(index_sphere_r4j_z(j).gens)
-
-
-def b_ideal(d):
-    """Generators of the integral product index B_d (bound ring)."""
-    _check_positive(d=d)
-    return list(index_product_spheres_z(d).gens)
 
 
 # -------------------------------------------------------------- index chains
@@ -163,7 +136,7 @@ def criterion_targets(criterion, j):
     if criterion == "F2_D8":
         return [YW_F2.element({(j, j): 1})]
     if criterion == "Z_D8":
-        return a_ideal(j)
+        return list(index_sphere_r4j_z(j))
     if criterion == "H1_F2":
         return [_h1_target(j)]
     raise KeyError(f"unknown criterion {criterion!r}")
@@ -183,7 +156,7 @@ def criterion_ideal(criterion, d):
     if criterion == "F2_D8":
         return [pi_poly(d + 1), pi_poly(d + 2)]
     if criterion == "Z_D8":
-        return b_ideal(d)
+        return list(index_product_spheres_z(d))
     if criterion == "H1_F2":
         return [H1_F2.element({(d + 1, 0): 1}), H1_F2.element({(0, d + 1): 1})]
     raise KeyError(f"unknown criterion {criterion!r}")
@@ -305,15 +278,17 @@ def verify_inclusion_power_case(q):
     """Check A_{2^q} is contained in B_{2^(q+1)-1}."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return ideal_subset(a_ideal(2 ** q), b_ideal(2 ** (q + 1) - 1))
+    return ideal_subset(index_sphere_r4j_z(2 ** q),
+                        index_product_spheres_z(2 ** (q + 1) - 1))
 
 
 def verify_inclusion_step(j, d):
     """Check the step instance: A_j in B_d implies A_{j+1} in B_{d+1}."""
     _check_positive(j=j, d=d)
-    if not ideal_subset(a_ideal(j), b_ideal(d)):
+    if not ideal_subset(index_sphere_r4j_z(j), index_product_spheres_z(d)):
         return True
-    return ideal_subset(a_ideal(j + 1), b_ideal(d + 1))
+    return ideal_subset(index_sphere_r4j_z(j + 1),
+                        index_product_spheres_z(d + 1))
 
 
 def verify_membership_transfer(d, j):
@@ -328,10 +303,3 @@ def verify_membership_transfer(d, j):
         return True
     return ideal_contains([a ** (d + 1) + c ** (d + 1),
                            a ** (d + 2) + c ** (d + 2)], target)
-
-
-def dimension_condition(d, j, k):
-    """Necessary dimension count for the join scheme:
-    d*k + k - 1 > j*(2^k - 1) + k - 2, i.e. d >= (2^k - 1) j / k."""
-    _check_positive(d=d, j=j, k=k)
-    return d * k + k - 1 > j * (2 ** k - 1) + k - 2

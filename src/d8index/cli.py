@@ -114,7 +114,7 @@ def cmd_restrict(args):
     try:
         hom = restriction(args.src, args.to, args.coeff.upper())
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     try:
         element = hom.domain.parse(args.element)
@@ -127,15 +127,15 @@ def cmd_restrict(args):
 
 # ideal name -> (flag it needs, generators from the parsed arguments)
 _IDEALS = {
-    "sphere_f2": ("j", lambda a: indexes.index_sphere_r4j_f2(a.j).gens),
-    "sphere_z": ("j", lambda a: indexes.index_sphere_r4j_z(a.j).gens),
+    "sphere_f2": ("j", lambda a: indexes.index_sphere_r4j_f2(a.j)),
+    "sphere_z": ("j", lambda a: indexes.index_sphere_r4j_z(a.j)),
     "product_spheres_f2":
-        ("d", lambda a: indexes.index_product_spheres_f2(a.d, a.kind).gens),
-    "product_spheres_z":
-        ("d", lambda a: indexes.index_product_spheres_z(a.d).gens),
-    "h1_product_z": ("n", lambda a: indexes.index_h1_z_product(a.n).gens),
-    "a_ideal": ("j", lambda a: bounds_mod.a_ideal(a.j)),
-    "b_ideal": ("d", lambda a: bounds_mod.b_ideal(a.d)),
+        ("d", lambda a: indexes.index_product_spheres_f2(a.d, a.kind)),
+    "product_spheres_z": ("d", lambda a: indexes.index_product_spheres_z(a.d)),
+    "h1_product_z": ("n", lambda a: indexes.index_h1_z_product(a.n)),
+    # the names the bounds give the integral sphere and product indexes
+    "a_ideal": ("j", lambda a: indexes.index_sphere_r4j_z(a.j)),
+    "b_ideal": ("d", lambda a: indexes.index_product_spheres_z(a.d)),
 }
 
 

@@ -173,7 +173,7 @@ class RestrictionDiagram:
         """Restriction along src >= dst: the identity, or the first route
         of `routes`, which is the edge when there is one (every route
         gives the same map)."""
-        if src == dst:
+        if src == dst and src in self.rings:
             return RingHom.identity(self.rings[src])
         routes = self.routes(src, dst)
         if not routes:

@@ -2,8 +2,9 @@
 
 The ideal of a G-space is the kernel of H*(BG;R) -> H*_G(X;R); this
 catalog stores each one that enters the two-hyperplane mass partition
-argument as a finite list of homogeneous generators, together with the
-pi/Pi polynomial families that present the product-of-spheres indexes.
+argument as a tuple of homogeneous generators of one ring, together
+with the pi/Pi polynomial families that present the product-of-spheres
+indexes.
 
 pi_d lives in F2[y,w] (deg y=1, w=2) and Pi_d in the bound ring
 Z[Y,M,W]/(2Y,2M,4W,M^2-WY) (deg Y=2, W=4); both satisfy the recurrence
@@ -18,15 +19,12 @@ once.  Where callers sweep different ranges the range is the only
 parameter; where all share one it is a module constant.
 """
 
-from dataclasses import dataclass, field
-
 from .homs import MOD2_REDUCTION, RingHom, lift_bound_to_full, restriction
 from .poly import ideal_subset, slice_intersection_is_zero
-from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, RingPresentation,
-                    YW_F2, Z2xZ2_F2, Z2xZ2_Z, f2_polynomial_ring)
+from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, Z2xZ2_F2,
+                    Z2xZ2_Z, f2_polynomial_ring)
 
 __all__ = [
-    "IndexIdeal",
     "lucas_binom_mod2",
     "pi_poly",
     "capital_pi_poly",
@@ -58,25 +56,6 @@ __all__ = [
     "product_index_chains_shrink",
     "two_plane_sphere_index_matches_h1",
 ]
-
-
-@dataclass(frozen=True)
-class IndexIdeal:
-    """A ring reference, homogeneous generators, and which index stage
-    the ideal is: the full kernel and/or the partial kernel seen by
-    spectral-sequence page k (metadata only, nothing is re-derived)."""
-
-    ring: RingPresentation
-    gens: tuple
-    full: bool
-    partial_k: int | None
-    source: str = field(default="", compare=False)
-
-    def __str__(self):
-        return "; ".join(str(g) for g in self.gens)
-
-    def is_principal(self):
-        return len(self.gens) == 1
 
 
 def lucas_binom_mod2(n, k):
@@ -130,28 +109,24 @@ def rho_poly(d):
 
 def index_sphere_r4j_f2(j):
     """Mod-2 index of the sphere of j copies of the 3-dimensional
-    representation R4: the principal ideal <y^j w^j>."""
+    representation R4: the principal ideal <y^j w^j>, the full kernel
+    and partial stage 3j+1."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    gen = D8_F2.gen("y") ** j * D8_F2.gen("w") ** j
-    return IndexIdeal(D8_F2, (gen,), full=True, partial_k=3 * j + 1,
-                      source=f"S(R4^{j}), D8, F2")
+    return (D8_F2.gen("y") ** j * D8_F2.gen("w") ** j,)
 
 
 def index_sphere_r4j_z(j):
     """Integral index of S(R4^j), in the bound ring: <Y^(j/2) W^(j/2)>
     for even j, <Y^((j+1)/2) W^((j-1)/2) M, Y^((j+1)/2) W^((j+1)/2)>
-    for odd j."""
+    for odd j; the full kernel and partial stage 3j+1."""
     if j < 1:
         raise ValueError("j must be >= 1")
     Y, M, W = (D8_Z_BOUND.gen(s) for s in ("Y", "M", "W"))
     if j % 2 == 0:
-        gens = (Y ** (j // 2) * W ** (j // 2),)
-    else:
-        gens = (Y ** ((j + 1) // 2) * W ** ((j - 1) // 2) * M,
-                Y ** ((j + 1) // 2) * W ** ((j + 1) // 2))
-    return IndexIdeal(D8_Z_BOUND, gens, full=True, partial_k=3 * j + 1,
-                      source=f"S(R4^{j}), D8, Z")
+        return (Y ** (j // 2) * W ** (j // 2),)
+    return (Y ** ((j + 1) // 2) * W ** ((j - 1) // 2) * M,
+            Y ** ((j + 1) // 2) * W ** ((j + 1) // 2))
 
 
 def index_product_spheres_f2(d, kind="partial"):
@@ -159,14 +134,11 @@ def index_product_spheres_f2(d, kind="partial"):
     the full kernel adds w^{d+1}."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    gens = [pi_in_d8(d + 1), pi_in_d8(d + 2)]
+    gens = (pi_in_d8(d + 1), pi_in_d8(d + 2))
     if kind == "partial":
-        return IndexIdeal(D8_F2, tuple(gens), full=False, partial_k=d + 2,
-                          source=f"S^{d} x S^{d}, D8, F2")
+        return gens
     if kind == "full":
-        gens.append(D8_F2.gen("w") ** (d + 1))
-        return IndexIdeal(D8_F2, tuple(gens), full=True, partial_k=None,
-                          source=f"S^{d} x S^{d}, D8, F2")
+        return gens + (D8_F2.gen("w") ** (d + 1),)
     raise ValueError(f"kind must be 'partial' or 'full', not {kind!r}")
 
 
@@ -174,14 +146,10 @@ def index_product_spheres_z(d):
     """Integral index of S^d x S^d at stage d+2, in the bound ring."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    M = D8_Z_BOUND.gen("M")
     if d % 2 == 0:
-        gens = (capital_pi_poly((d + 2) // 2), capital_pi_poly((d + 4) // 2),
-                M * capital_pi_poly(d // 2))
-    else:
-        gens = (capital_pi_poly((d + 1) // 2), capital_pi_poly((d + 3) // 2))
-    return IndexIdeal(D8_Z_BOUND, gens, full=False, partial_k=d + 2,
-                      source=f"S^{d} x S^{d}, D8, Z")
+        return (capital_pi_poly((d + 2) // 2), capital_pi_poly((d + 4) // 2),
+                D8_Z_BOUND.gen("M") * capital_pi_poly(d // 2))
+    return (capital_pi_poly((d + 1) // 2), capital_pi_poly((d + 3) // 2))
 
 
 # ---------------------------------------------------------- (Z2)^k indexes
@@ -210,8 +178,7 @@ def index_rep_sphere_z2k(sign_vectors, k):
             elif entry != 1:
                 raise ValueError(f"sign entries must be +-1, got {entry}")
         product = product * form  # an all-+1 vector contributes the factor 0
-    return IndexIdeal(ring, (product,), full=True, partial_k=None,
-                      source=f"S(V), (Z2)^{k}, F2")
+    return (product,)
 
 
 def index_torus_z2k(ns):
@@ -221,9 +188,7 @@ def index_torus_z2k(ns):
     if not ns or any(n < 0 for n in ns):
         raise ValueError("sphere dimensions must be >= 0")
     ring = _tk_ring(len(ns))
-    gens = tuple(ring.gen(f"t{i+1}") ** (n + 1) for i, n in enumerate(ns))
-    return IndexIdeal(ring, gens, full=True, partial_k=None,
-                      source=f"torus {tuple(ns)}, (Z2)^{len(ns)}, F2")
+    return tuple(ring.gen(f"t{i+1}") ** (n + 1) for i, n in enumerate(ns))
 
 
 def index_h1_z_product(n):
@@ -235,12 +200,9 @@ def index_h1_z_product(n):
         raise ValueError("n must be >= 1")
     t1, t2, mu = (Z2xZ2_Z.gen(s) for s in ("tau1", "tau2", "mu"))
     if n % 2 == 1:
-        gens = (t1 ** ((n + 1) // 2), t2 ** ((n + 1) // 2))
-    else:
-        gens = (t1 ** ((n + 2) // 2), t2 ** ((n + 2) // 2),
-                t1 ** (n // 2) * mu, t2 ** (n // 2) * mu)
-    return IndexIdeal(Z2xZ2_Z, gens, full=True, partial_k=None,
-                      source=f"S^{n} x S^{n}, (Z2)^2, Z")
+        return (t1 ** ((n + 1) // 2), t2 ** ((n + 1) // 2))
+    return (t1 ** ((n + 2) // 2), t2 ** ((n + 2) // 2),
+            t1 ** (n // 2) * mu, t2 ** (n // 2) * mu)
 
 
 # ----------------------------------------------------------- constructions
@@ -248,12 +210,11 @@ def index_h1_z_product(n):
 def index_join(f, g):
     """Index of the sphere of a direct sum, from principal indexes of
     the summand spheres: <f> join <g> = <f*g>."""
-    if not (f.is_principal() and g.is_principal()):
+    if not len(f) == len(g) == 1:
         raise ValueError("join requires principal index ideals")
-    if f.ring != g.ring:
+    if f[0].ring != g[0].ring:
         raise ValueError("join requires indexes in the same ring")
-    return IndexIdeal(f.ring, (f.gens[0] * g.gens[0],), full=True,
-                      partial_k=None, source=f"join({f.source}, {g.source})")
+    return (f[0] * g[0],)
 
 
 def index_product_groups(f, g):
@@ -261,14 +222,17 @@ def index_product_groups(f, g):
     the tensor polynomial ring generated by both generator lists.  Valid
     only for relation-free F2 rings; with torsion coefficients the
     product formula fails."""
-    for ideal in (f, g):
-        if ideal.ring.coeff != "F2" or ideal.ring.relations:
+    for gens in (f, g):
+        if not gens or any(e.ring != gens[0].ring for e in gens):
+            raise ValueError("each factor needs generators in one ring")
+        if gens[0].ring.coeff != "F2" or gens[0].ring.relations:
             raise ValueError("product formula needs relation-free field "
                              "coefficients")
-    syms_f, syms_g = f.ring.gens, g.ring.gens
+    ring_f, ring_g = f[0].ring, g[0].ring
+    syms_f, syms_g = ring_f.gens, ring_g.gens
     if set(syms_f) & set(syms_g):
         raise ValueError("generator name clash between the factor rings")
-    ring = f2_polynomial_ring(syms_f + syms_g, f.ring.degrees + g.ring.degrees)
+    ring = f2_polynomial_ring(syms_f + syms_g, ring_f.degrees + ring_g.degrees)
 
     def transfer(e, offset, width):
         terms = {}
@@ -279,10 +243,8 @@ def index_product_groups(f, g):
         return ring.element(terms)
 
     width = len(ring.gens)
-    gens = tuple(transfer(e, 0, width) for e in f.gens)
-    gens += tuple(transfer(e, len(syms_f), width) for e in g.gens)
-    return IndexIdeal(ring, gens, full=f.full and g.full, partial_k=None,
-                      source=f"product({f.source}, {g.source})")
+    return (tuple(transfer(e, 0, width) for e in f)
+            + tuple(transfer(e, len(syms_f), width) for e in g))
 
 
 def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
@@ -293,12 +255,12 @@ def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
     full ring) only in 0 in every degree up to the cap.  The sphere
     index rejects j < 1."""
     if coeff == "F2":
-        return not (D8_F2.gen("x") * index_sphere_r4j_f2(j).gens[0])
+        return not (D8_F2.gen("x") * index_sphere_r4j_f2(j)[0])
     if coeff == "Z":
         if degree_cap is None:
             degree_cap = 3 * j + 6
         x_gen = [D8_Z_FULL.gen("X")]
-        sphere = [lift_bound_to_full(g) for g in index_sphere_r4j_z(j).gens]
+        sphere = [lift_bound_to_full(g) for g in index_sphere_r4j_z(j)]
         return all(slice_intersection_is_zero(x_gen, sphere, n)
                    for n in range(1, degree_cap + 1))
     raise ValueError(f"unknown coefficient system {coeff!r}")
@@ -374,9 +336,8 @@ def capital_pi_reduces_to_pi(top):
 
 def join_gives_sphere_index():
     """<w> join <y> is the sphere index <y*w> of S(R4)."""
-    w = IndexIdeal(D8_F2, (D8_F2.gen("w"),), full=True, partial_k=None)
-    y = IndexIdeal(D8_F2, (D8_F2.gen("y"),), full=True, partial_k=None)
-    return index_join(w, y).gens == index_sphere_r4j_f2(1).gens
+    return (index_join((D8_F2.gen("w"),), (D8_F2.gen("y"),))
+            == index_sphere_r4j_f2(1))
 
 
 def join_scheme_vanishes(coeff):
@@ -389,7 +350,7 @@ def full_index_restriction_images_hold():
     and (a(a+b))^(d+1) for 1 <= d <= FULL_IMAGES_DEGREE."""
     res = restriction("D8", "H1", "F2")
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
-    return all([res(g) for g in index_product_spheres_f2(d, "full").gens]
+    return all([res(g) for g in index_product_spheres_f2(d, "full")]
                == [rho_poly(d + 1), rho_poly(d + 2), (a * (a + b)) ** (d + 1)]
                for d in range(1, FULL_IMAGES_DEGREE + 1))
 
@@ -397,7 +358,7 @@ def full_index_restriction_images_hold():
 def product_index_chains_shrink(top):
     """The F2 and Z indexes of S^(d+1) x S^(d+1) lie inside those of
     S^d x S^d for 1 <= d <= top."""
-    return all(ideal_subset(family(d + 1).gens, family(d).gens)
+    return all(ideal_subset(family(d + 1), family(d))
                for d in range(1, top + 1)
                for family in (index_product_spheres_f2, index_product_spheres_z))
 
@@ -407,7 +368,7 @@ def two_plane_sphere_index_matches_h1():
     t1 -> a, t2 -> a+b, is res_H1(w) = a(a+b)."""
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     rename = RingHom(Z2xZ2_F2, H1_F2, {"t1": "a", "t2": "a+b"})
-    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2).gens
+    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2)
     return (rep == (Z2xZ2_F2.parse("t1*t2"),)
             and restriction("D8", "H1", "F2")(D8_F2.gen("w")) == a * (a + b)
             and rename(rep[0]) == a * (a + b))

@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 Everything here is exact arithmetic; there are no tolerances.
 """
 
-from d8index.bounds import (a_ideal, admissible, b_ideal, default_scan_cap,
-                            min_certified_d, mvz_upper, ramos_lower)
+from d8index.bounds import (admissible, default_scan_cap, min_certified_d,
+                            mvz_upper, ramos_lower)
 from d8index.homs import F2_DIAGRAM, Z_DIAGRAM, check_reduction_cube
 from d8index.indexes import (FULL_IMAGES_DEGREE, GENERATING_FUNCTION_DEGREE,
                              JOIN_SCHEME_J, POWERS_OF_TWO_Q,
@@ -13,12 +13,13 @@ from d8index.indexes import (FULL_IMAGES_DEGREE, GENERATING_FUNCTION_DEGREE,
                              capital_pi_powers_of_two_hold,
                              capital_pi_reduces_to_pi,
                              full_index_restriction_images_hold,
+                             index_product_spheres_z, index_sphere_r4j_z,
                              join_gives_sphere_index, join_scheme_vanishes,
                              pi_restricts_to_rho, recurrence_matches_binomial,
                              lucas_binom_mod2, rho_recurrence_holds)
 from d8index.poly import ideal_subset
 from d8index.rings import CATALOG
-from d8index.verify import suite_oracle
+from d8index.verify import ORACLE_INSTANCES, suite_oracle
 
 
 def _report(num, description, failures):
@@ -74,7 +75,7 @@ def test_criterion_3_no_improvement_for_z():
     failures = []
     for j in range(1, 65):
         d = mvz_upper(j, 2) - 1
-        if not ideal_subset(a_ideal(j), b_ideal(d)):
+        if not ideal_subset(index_sphere_r4j_z(j), index_product_spheres_z(d)):
             failures.append(("inclusion", j, d))
     for j in range(1, 13):
         z_min = min_certified_d(j, "Z_D8", 24)
@@ -126,12 +127,12 @@ def test_criterion_6_index_catalog_consistency():
 
 
 def test_criterion_7_oracle_equivalence():
-    checks = suite_oracle(count=500)
+    checks = suite_oracle()
     failures = [(c.name, c.detail) for c in checks if not c.ok]
     if len(checks) != len(CATALOG):
         failures.append(f"{len(checks)} oracle checks for {len(CATALOG)} rings")
-    _report(7, "elimination matches brute-force enumeration on 500 random "
-               "instances per ring", failures)
+    _report(7, "elimination matches brute-force enumeration on "
+               f"{ORACLE_INSTANCES} random instances per ring", failures)
 
 
 def test_criterion_8_soundness_guard():

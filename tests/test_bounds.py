@@ -1,16 +1,16 @@
 import pytest
 
 from d8index import bounds
-from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict, a_ideal,
-                            admissible, admissible_f2, admissible_h1_f2,
-                            admissible_z, b_ideal, bound_report,
+from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict,
+                            admissible, admissible_z, bound_report,
                             criterion_chain_step, criterion_chains_shrink,
                             criterion_ideal, criterion_targets, default_scan_cap,
-                            dimension_condition, min_certified_d, mvz_upper,
+                            min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_step, verify_membership_transfer)
 from d8index.homs import RingHom
-from d8index.indexes import pi_poly
+from d8index.indexes import (index_product_spheres_z, index_sphere_r4j_z,
+                             pi_poly)
 from d8index.poly import ideal_contains
 from d8index.rings import YW_F2, get_ring
 
@@ -19,10 +19,10 @@ H1 = get_ring("H1_F2")
 
 
 def test_admissible_f2_examples():
-    assert admissible_f2(2, 1).certified
-    assert not admissible_f2(1, 1).certified
-    assert not admissible_f2(3, 2).certified
-    assert admissible_f2(4, 2).certified
+    assert admissible(2, 1, "F2_D8").certified
+    assert not admissible(1, 1, "F2_D8").certified
+    assert not admissible(3, 2, "F2_D8").certified
+    assert admissible(4, 2, "F2_D8").certified
 
 
 def test_admissible_z_examples():
@@ -39,14 +39,14 @@ def test_admissible_z_literal_flag():
 
 
 def test_admissible_h1_examples():
-    assert admissible_h1_f2(2, 1).certified
-    assert not admissible_h1_f2(1, 1).certified
-    assert admissible_h1_f2(4, 2).certified
-    assert not admissible_h1_f2(3, 2).certified
+    assert admissible(2, 1, "H1_F2").certified
+    assert not admissible(1, 1, "H1_F2").certified
+    assert admissible(4, 2, "H1_F2").certified
+    assert not admissible(3, 2, "H1_F2").certified
 
 
 def test_verdict_shape_and_witness():
-    verdict = admissible_f2(2, 1)
+    verdict = admissible(2, 1, "F2_D8")
     assert isinstance(verdict, AdmissibilityVerdict)
     assert verdict.criterion == "F2_D8"
     assert "degree-3" in verdict.witness
@@ -58,7 +58,7 @@ def test_verdict_shape_and_witness():
 
 def test_admissible_validation():
     with pytest.raises(ValueError):
-        admissible_f2(0, 1)
+        admissible(0, 1, "F2_D8")
     with pytest.raises(ValueError):
         admissible_z(1, 0)
     with pytest.raises(KeyError):
@@ -66,9 +66,10 @@ def test_admissible_validation():
 
 
 def test_a_and_b_ideal_examples():
-    assert a_ideal(2) == [BOUND.parse("Y*W")]
-    assert a_ideal(1) == [BOUND.parse("Y*M"), BOUND.parse("Y*W")]
-    assert b_ideal(1) == [BOUND.parse("Y"), BOUND.parse("Y^2")]
+    """A_j and B_d are the Z_D8 targets and ideal."""
+    assert criterion_targets("Z_D8", 2) == [BOUND.parse("Y*W")]
+    assert criterion_targets("Z_D8", 1) == [BOUND.parse("Y*M"), BOUND.parse("Y*W")]
+    assert criterion_ideal("Z_D8", 1) == [BOUND.parse("Y"), BOUND.parse("Y^2")]
 
 
 def test_ramos_lower():
@@ -168,7 +169,7 @@ def test_min_certified_d_probes_at_most_bit_length(monkeypatch):
 
 def test_criterion_ideal():
     assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
-    assert criterion_ideal("Z_D8", 4) == b_ideal(4)
+    assert criterion_ideal("Z_D8", 4) == list(index_product_spheres_z(4))
     a, b = (H1.gen(s) for s in ("a", "b"))
     assert criterion_ideal("H1_F2", 2) == [a ** 3, b ** 3]
     with pytest.raises(KeyError):
@@ -212,7 +213,7 @@ def test_criterion_targets():
     y, w = (YW_F2.gen(s) for s in ("y", "w"))
     for j in range(1, 65):
         assert criterion_targets("F2_D8", j) == [y ** j * w ** j]
-        assert criterion_targets("Z_D8", j) == a_ideal(j)
+        assert criterion_targets("Z_D8", j) == list(index_sphere_r4j_z(j))
         assert criterion_targets("H1_F2", j) == [a ** j * b ** j * (a + b) ** j]
     with pytest.raises(KeyError):
         criterion_targets("F3_D8", 2)
@@ -275,10 +276,3 @@ def test_membership_transfer_examples():
     assert verify_membership_transfer(1, 1)
     assert verify_membership_transfer(2, 1)
     assert verify_membership_transfer(4, 2)
-
-
-def test_dimension_condition():
-    assert dimension_condition(2, 1, 2)
-    assert not dimension_condition(1, 1, 2)
-    assert dimension_condition(5, 3, 2)
-    assert not dimension_condition(4, 3, 2)

@@ -174,7 +174,11 @@ def test_restrict(capsys):
 def test_restrict_errors(capsys):
     code, _, err = run(capsys, "restrict", "--from", "D8", "--to", "K1",
                        "--coeff", "z", "--element", "Y")
-    assert code == 2 and err
+    assert code == 2 and err == "no restriction D8 -> K1 in the Z diagram\n"
+    # an unknown node gets the same message, not a bare KeyError of its name
+    code, _, err = run(capsys, "restrict", "--from", "Q", "--to", "Q",
+                       "--coeff", "f2", "--element", "w")
+    assert code == 2 and err == "no restriction Q -> Q in the F2 diagram\n"
     code, _, err = run(capsys, "restrict", "--from", "D8", "--to", "H1",
                        "--coeff", "f2", "--element", "w+")
     assert code == 3 and err

@@ -1,10 +1,12 @@
-"""Module hygiene of the package source."""
+"""Module hygiene of the package source, and its README example."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "d8index"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "d8index"
 
 
 def _private_imports(path):
@@ -51,3 +53,11 @@ def test_slice_solvers_take_one_path_for_every_coefficient_ring():
     found = [hit for name in ("poly.py", "linalg.py")
              for hit in _coefficient_comparisons(SRC / name)]
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # a public name deleted from the package breaks this, not the reader
+    library = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S)
+    assert block
+    exec(compile(block.group(1), "README.md", "exec"), {})
