@@ -121,24 +121,19 @@ def admissible_z(d, j, literal_inclusion=False):
 
 # -------------------------------------------------------------- index chains
 
-def _h1_target(j):
-    """a^j b^j (a+b)^j in F2[a,b], written out by Lucas' rule: the terms
-    are a^(j+k) b^(2j-k) for the k with binom(j, k) odd."""
-    return H1_F2.element({(j + k, 2 * j - k): 1 for k in range(j + 1)
-                          if lucas_binom_mod2(j, k)})
-
-
 def criterion_targets(criterion, j):
     """The elements a criterion certifies (d, j) with when one lies
     outside I_d: y^j w^j for F2_D8, the generators of A_j for Z_D8 and
-    a^j b^j (a+b)^j for H1_F2."""
+    a^j b^j (a+b)^j for H1_F2, written out by Lucas' rule: its terms are
+    a^(j+k) b^(2j-k) for the k with binom(j, k) odd."""
     _check_positive(j=j)
     if criterion == "F2_D8":
         return [YW_F2.element({(j, j): 1})]
     if criterion == "Z_D8":
         return list(index_sphere_r4j_z(j))
     if criterion == "H1_F2":
-        return [_h1_target(j)]
+        return [H1_F2.element({(j + k, 2 * j - k): 1 for k in range(j + 1)
+                               if lucas_binom_mod2(j, k)})]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -206,7 +201,11 @@ def criterion_chains_shrink(top):
     """I_(d+1) lies inside I_d for every criterion and 1 <= d <= top,
     replayed from `criterion_chain_step` by ring arithmetic, no solve.
     A target outside I_d is then outside I_(d+1): certification is
-    upward closed in d."""
+    upward closed in d.  These are also the chains of the product
+    indexes: F2[y,w] embeds in H*(D8;F2) by y -> y, w -> w, sending
+    pi_poly(d) to pi_in_d8(d), so the chain replayed in YW_F2 is that of
+    `index_product_spheres_f2`; Z_D8 uses the same B_d as
+    `index_product_spheres_z`, and H1_F2 is the (Z2)^2 index of S^d x S^d."""
     for criterion in CRITERION_REGISTRY:
         for d in range(1, top + 1):
             gens = criterion_ideal(criterion, d)
@@ -250,6 +249,8 @@ def min_certified_d(j, criterion, d_cap=None):
     d_cap.bit_length() verdicts.
     """
     _check_positive(j=j)
+    if criterion not in CRITERION_REGISTRY:
+        raise KeyError(f"unknown criterion {criterion!r}")
     if d_cap is None:
         d_cap = default_scan_cap(j)
     ds = range(1, d_cap + 1)
@@ -298,8 +299,8 @@ def verify_membership_transfer(d, j):
     criterion to the symmetric one."""
     _check_positive(d=d, j=j)
     a, c = H1_F2.gen("a"), H1_F2.gen("b")  # c := a+b plays the second variable
-    target = _h1_target(j)  # a^j c^j (a+c)^j
-    if not ideal_contains([a ** (d + 1), c ** (d + 1)], target):
+    [target] = criterion_targets("H1_F2", j)  # a^j c^j (a+c)^j
+    if not ideal_contains(criterion_ideal("H1_F2", d), target):
         return True
     return ideal_contains([a ** (d + 1) + c ** (d + 1),
                            a ** (d + 2) + c ** (d + 2)], target)

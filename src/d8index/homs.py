@@ -166,9 +166,6 @@ class RestrictionDiagram:
         self.rings = dict(rings)
         self.edges = dict(edges)
 
-    def ring_of(self, node):
-        return self.rings[node]
-
     def res(self, src, dst):
         """Restriction along src >= dst: the identity, or the first route
         of `routes`, which is the edge when there is one (every route

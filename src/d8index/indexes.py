@@ -20,7 +20,7 @@ parameter; where all share one it is a module constant.
 """
 
 from .homs import MOD2_REDUCTION, RingHom, lift_bound_to_full, restriction
-from .poly import ideal_subset, slice_intersection_is_zero
+from .poly import slice_intersection_is_zero
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, Z2xZ2_F2,
                     Z2xZ2_Z, f2_polynomial_ring)
 
@@ -53,7 +53,6 @@ __all__ = [
     "join_scheme_vanishes",
     "FULL_IMAGES_DEGREE",
     "full_index_restriction_images_hold",
-    "product_index_chains_shrink",
     "two_plane_sphere_index_matches_h1",
 ]
 
@@ -247,22 +246,20 @@ def index_product_groups(f, g):
             + tuple(transfer(e, len(syms_f), width) for e in g))
 
 
-def join_scheme_obstruction(j, coeff="F2", degree_cap=None):
+def join_scheme_obstruction(j, coeff="F2"):
     """True iff the join-scheme index obstruction vanishes.
 
     With F2 coefficients: x * y^j w^j = 0 in H*(D8;F2).  With Z
     coefficients: the ideal <X> meets the sphere index (lifted to the
-    full ring) only in 0 in every degree up to the cap.  The sphere
-    index rejects j < 1."""
+    full ring) only in 0 in every degree up to 3j+6.  The sphere index
+    rejects j < 1."""
     if coeff == "F2":
         return not (D8_F2.gen("x") * index_sphere_r4j_f2(j)[0])
     if coeff == "Z":
-        if degree_cap is None:
-            degree_cap = 3 * j + 6
         x_gen = [D8_Z_FULL.gen("X")]
         sphere = [lift_bound_to_full(g) for g in index_sphere_r4j_z(j)]
         return all(slice_intersection_is_zero(x_gen, sphere, n)
-                   for n in range(1, degree_cap + 1))
+                   for n in range(1, 3 * j + 7))
     raise ValueError(f"unknown coefficient system {coeff!r}")
 
 
@@ -353,14 +350,6 @@ def full_index_restriction_images_hold():
     return all([res(g) for g in index_product_spheres_f2(d, "full")]
                == [rho_poly(d + 1), rho_poly(d + 2), (a * (a + b)) ** (d + 1)]
                for d in range(1, FULL_IMAGES_DEGREE + 1))
-
-
-def product_index_chains_shrink(top):
-    """The F2 and Z indexes of S^(d+1) x S^(d+1) lie inside those of
-    S^d x S^d for 1 <= d <= top."""
-    return all(ideal_subset(family(d + 1), family(d))
-               for d in range(1, top + 1)
-               for family in (index_product_spheres_f2, index_product_spheres_z))
 
 
 def two_plane_sphere_index_matches_h1():

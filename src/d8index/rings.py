@@ -39,10 +39,10 @@ class ElementParseError(ValueError):
 
 class GradedSlice:
     """Basis of the degree-n piece of a ring: normal-form monomials in
-    descending lexicographic order, with their additive orders.  Every
-    encoding over the slice uses `index`, the monomial -> bit map, which
-    puts the lexicographically largest monomial on the top bit, and
-    `mask4`, the int whose bits are the order-4 monomials.
+    descending lexicographic order.  Every encoding over the slice uses
+    `index`, the monomial -> bit map, which puts the lexicographically
+    largest monomial on the top bit, and `mask4`, the int whose bits are
+    the order-4 monomials (from `orders`, the basis' additive orders).
 
     `memo` starts empty and is filled lazily by `poly.ideal_slice_vectors`:
     it maps a raw degree-n monomial, packed into one int, to the packed
@@ -50,14 +50,13 @@ class GradedSlice:
     degree alone, never on a generator set, so any decision at this degree
     may share it."""
 
-    __slots__ = ("degree", "basis", "orders", "index", "mask4", "memo")
+    __slots__ = ("degree", "basis", "index", "mask4", "memo")
 
     def __init__(self, degree, basis, orders):
         self.degree = degree
         self.basis = tuple(basis)
-        self.orders = tuple(orders)
         self.index = {m: i for i, m in enumerate(reversed(self.basis))}
-        self.mask4 = sum(1 << self.index[m] for m, o in zip(self.basis, self.orders) if o == 4)
+        self.mask4 = sum(1 << self.index[m] for m, o in zip(self.basis, orders) if o == 4)
         self.memo = {}
 
     def __len__(self):
@@ -73,8 +72,10 @@ class RingPresentation:
     relations: iterable of (pattern, replacement) pairs.  `pattern` is a
     monomial exponent tuple; any monomial divisible by it rewrites to
     (monomial/pattern) * replacement, where `replacement` maps monomials
-    to integer coefficients.  The systems used here are confluent and
-    terminating (checked by `check_confluence`).
+    to integer coefficients.  Construction rejects a unit pattern, and a
+    replacement monomial of another degree than its pattern or divisible
+    by it, which would rewrite forever.  Termination across rules is not
+    checked; `check_confluence` tests confluence up to degree 12.
     """
 
     def __init__(self, name, coeff, gens, degrees, orders=None,
@@ -99,6 +100,14 @@ class RingPresentation:
              tuple(sorted((self._exponents(m), int(c)) for m, c in dict(rep).items())))
             for pat, rep in relations
         )
+        for pat, rep in self.relations:
+            if not any(pat):
+                raise ValueError("relation pattern is the unit monomial")
+            for mono, _ in rep:
+                if self.monomial_degree(mono) != self.monomial_degree(pat):
+                    raise ValueError(f"relation {pat!r} -> {mono!r} changes degree")
+                if all(m >= p for m, p in zip(mono, pat)):
+                    raise ValueError(f"relation {pat!r} -> {mono!r} rewrites forever")
         self.display = tuple(display) if display is not None else self.gens
         self._symbols = {s: i for i, s in enumerate(self.gens)}
         for i, s in enumerate(self.display):
@@ -168,8 +177,8 @@ class RingPresentation:
     def normal_form(self, terms):
         """Rewrite a raw {monomial: int} dict to normal form.
 
-        Rules are applied until none matches (each rule strictly lowers
-        a well-founded measure, so this terminates), then coefficients
+        Rules are applied until none matches (each catalog rule strictly
+        lowers a well-founded measure, so this terminates), then coefficients
         are reduced modulo each monomial's additive order.
         """
         out = {}
@@ -186,10 +195,10 @@ class RingPresentation:
         return {mono: r for mono, c in out.items()
                 if (r := self._reduce_coeff(mono, c))}
 
-    def check_confluence(self, max_degree=12):
+    def check_confluence(self):
         """Rewriting reaches the same normal form whichever matching rule
-        fires first, for every monomial of degree <= max_degree."""
-        for degree in range(max_degree + 1):
+        fires first, for every monomial of degree <= 12."""
+        for degree in range(13):
             for mono in self.all_exponents(degree):
                 # rep's monomials are distinct, so are their shifts
                 firsts = [self.normal_form(dict(self._rewrite(mono, 1, pat, rep)))
@@ -358,9 +367,6 @@ class RingElement:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_homogeneous(self):
-        return len({self.ring.monomial_degree(m) for m in self.terms}) <= 1
 
     def degree(self):
         """Degree of a homogeneous element; None for the zero element."""

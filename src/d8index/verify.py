@@ -5,8 +5,9 @@ check does.  The suites re-run, at machine speed, the identities the
 library is built on: the inclusion lemma sweeps, the restriction
 diagram commutativity, the index identities, and the agreement of the
 linear-algebra membership decision with brute-force enumeration.  Each
-index identity has one body in `indexes`; a suite only sets its range
-and its label, as the tests do with theirs.
+index identity has one body in `indexes`, and the shrinking index
+chains theirs in `bounds.criterion_chains_shrink`; a suite only sets
+its range and its label, as the tests do with theirs.
 """
 
 import math
@@ -62,8 +63,8 @@ def suite_diagram(max_degree=12):
     checks = []
     for ring in CATALOG.values():
         checks.append(_check(f"rewrite confluence in {ring.name}",
-                             ring.check_confluence(12)))
-    checks.append(_check("rewrite confluence in YW_F2", YW_F2.check_confluence(12)))
+                             ring.check_confluence()))
+    checks.append(_check("rewrite confluence in YW_F2", YW_F2.check_confluence()))
 
     # raw monomials, normal or not, so that the rewrite rules fire
     rng = random.Random(97)
@@ -90,7 +91,7 @@ def suite_diagram(max_degree=12):
     fixed = {("K1", "a"): "t1", ("K1", "b"): "t1",
              ("K2", "a"): "0", ("K2", "b"): "t2"}
     ok = all(restriction("H1", node, "F2")(H1_F2.gen(sym))
-             == F2_DIAGRAM.ring_of(node).parse(img)
+             == F2_DIAGRAM.rings[node].parse(img)
              for (node, sym), img in fixed.items())
     checks.append(_check("order-2 subgroup images fixed as declared", ok))
 
@@ -134,7 +135,7 @@ def suite_indexes(max_degree=64):
         _check(f"full-index restriction images, d <= {indexes.FULL_IMAGES_DEGREE}",
                indexes.full_index_restriction_images_hold()),
         _check(f"product index chains shrink as d grows, d <= {chain_cap}",
-               indexes.product_index_chains_shrink(chain_cap)),
+               bounds.criterion_chains_shrink(chain_cap)),
         _check("sphere index of the 2-plane matches the H1 value",
                indexes.two_plane_sphere_index_matches_h1()),
     ]

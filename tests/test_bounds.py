@@ -144,8 +144,9 @@ def test_min_certified_d_edge_caps():
         least = min_certified_d(j, criterion)
         assert min_certified_d(j, criterion, least) == least
         assert min_certified_d(j, criterion, least - 1) is None
-    with pytest.raises(KeyError):
-        min_certified_d(2, "F3_D8", 10)
+    for cap in (10, 0, -3):  # checked before the cap empties the range
+        with pytest.raises(KeyError):
+            min_certified_d(2, "F3_D8", cap)
 
 
 def test_min_certified_d_probes_at_most_bit_length(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import d8index
 from d8index.cli import main
@@ -135,6 +136,14 @@ def test_table_csv(capsys):
     assert out == ("j,ramos,mvz,f2_min_d,z_min_d,h1_min_d\n"
                    "1,2,2,2,3,2\n"
                    "2,3,4,4,4,4\n")
+
+
+def test_table_j32_json_matches_recorded_bytes(capsys):
+    """The recorded table the benchmark checks against stays the output."""
+    recorded = Path(__file__).parents[1] / "perfbench" / "expected" / "table_j32.json"
+    code, out, err = run(capsys, "table", "--j-max", "32", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.encode() == recorded.read_bytes()
 
 
 def test_table_json_and_text(capsys):

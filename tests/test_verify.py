@@ -1,6 +1,7 @@
 """The verify suites keep every check label.  The benchmark counts PASS
 lines, so a dropped or renamed check must fail here first."""
 
+from d8index import bounds
 from d8index.verify import run_suite
 
 RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
@@ -57,3 +58,10 @@ def _index_labels(cap, chain_cap):
 def test_indexes_labels():
     assert _labels("indexes") == _index_labels(64, 30)
     assert _labels("indexes", 6) == _index_labels(6, 6)
+
+
+def test_chain_check_runs_the_replay(monkeypatch):
+    """The chain line reports what `bounds.criterion_chains_shrink` says."""
+    monkeypatch.setattr(bounds, "criterion_chains_shrink", lambda top: False)
+    failing = [check.name for check in run_suite("indexes") if not check.ok]
+    assert failing == ["product index chains shrink as d grows, d <= 30"]
