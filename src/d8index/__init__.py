@@ -15,7 +15,7 @@ from .bounds import (AdmissibilityVerdict, BoundReport, admissible,
                      verify_inclusion_step, verify_membership_transfer)
 from .homs import (F2_DIAGRAM, FULL_TO_BOUND, MOD2_REDUCTION, RestrictionDiagram,
                    RingHom, Z_DIAGRAM, check_reduction_cube, hom_kernel_slice,
-                   homs_equal_up_to_degree, lift_bound_to_full, restriction)
+                   lift_bound_to_full, restriction)
 from .indexes import (capital_pi_poly, index_h1_z_product, index_join,
                       index_product_groups, index_product_spheres_f2,
                       index_product_spheres_z, index_rep_sphere_z2k,
@@ -36,8 +36,8 @@ __all__ = [
     "RingPresentation", "YW_F2", "Z_DIAGRAM", "admissible", "admissible_z",
     "bound_report", "capital_pi_poly", "check_reduction_cube",
     "contains_by_enumeration", "f2_polynomial_ring", "get_ring",
-    "graded_ideal_slice", "hom_kernel_slice", "homs_equal_up_to_degree",
-    "ideal_contains", "ideal_subset",
+    "graded_ideal_slice", "hom_kernel_slice", "ideal_contains",
+    "ideal_subset",
     "index_h1_z_product", "index_join", "index_product_groups",
     "index_product_spheres_f2", "index_product_spheres_z",
     "index_rep_sphere_z2k", "index_sphere_r4j_f2", "index_sphere_r4j_z",

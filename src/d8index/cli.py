@@ -7,9 +7,7 @@ schema version; element output uses the grammar `coeff*sym^k` joined by
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 element parse failure, 141 stdout closed by its
-reader (the usual code for SIGPIPE).  The environment variable
-MPI_MAX_DEGREE (an integer >= 1, like --max-degree) overrides the
-default degree caps of `verify`.
+reader (the usual code for SIGPIPE).
 """
 
 import argparse
@@ -80,17 +78,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
-    max_degree = args.max_degree
-    if max_degree is None:
-        env = os.environ.get("MPI_MAX_DEGREE")
-        if env is not None:
-            try:
-                max_degree = _positive(env)
-            except (ValueError, argparse.ArgumentTypeError):
-                print(f"bad MPI_MAX_DEGREE value {env!r}: need an integer "
-                      ">= 1", file=sys.stderr)
-                return 2
-    checks = verify.run_suite(args.suite, max_degree)  # argparse checked the name
+    checks = verify.run_suite(args.suite, args.max_degree)  # argparse checked the name
     failed = 0
     for check in checks:
         status = "PASS" if check.ok else "FAIL"

@@ -79,7 +79,7 @@ class RingPresentation:
     """
 
     def __init__(self, name, coeff, gens, degrees, orders=None,
-                 relations=(), display=None):
+                 relations=()):
         if coeff not in ("F2", "Z"):
             raise ValueError(f"unknown coefficient system {coeff!r}")
         self.name = name
@@ -108,10 +108,7 @@ class RingPresentation:
                     raise ValueError(f"relation {pat!r} -> {mono!r} changes degree")
                 if all(m >= p for m, p in zip(mono, pat)):
                     raise ValueError(f"relation {pat!r} -> {mono!r} rewrites forever")
-        self.display = tuple(display) if display is not None else self.gens
         self._symbols = {s: i for i, s in enumerate(self.gens)}
-        for i, s in enumerate(self.display):
-            self._symbols.setdefault(s, i)
         # factors print in descending generator degree, ties by position
         self._print_order = sorted(range(len(self.gens)),
                                    key=lambda i: (-self.degrees[i], i))
@@ -339,7 +336,7 @@ class RingPresentation:
             e = mono[i]
             if e == 0:
                 continue
-            sym = self.display[i]
+            sym = self.gens[i]
             factors.append(sym if e == 1 else f"{sym}^{e}")
         if not factors:
             return str(coeff)
@@ -449,9 +446,8 @@ class RingElement:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _f2(name, gens, degrees, relations=(), display=None):
-    return RingPresentation(name, "F2", gens, degrees, relations=relations,
-                            display=display)
+def _f2(name, gens, degrees, relations=()):
+    return RingPresentation(name, "F2", gens, degrees, relations=relations)
 
 
 def _z(name, gens, degrees, orders, relations=()):
@@ -465,9 +461,7 @@ D8_F2 = _f2("D8_F2", ("x", "y", "w"), (1, 1, 2),
 H1_F2 = _f2("H1_F2", ("a", "b"), (1, 1))
 H2_F2 = _f2("H2_F2", ("e", "u"), (1, 2),
             relations=[((2, 0), {})])
-# the order-2 subgroup generators collide with the dimension parameter d,
-# hence internal names c3/d3; printing and parsing accept c/d as well
-H3_F2 = _f2("H3_F2", ("c3", "d3"), (1, 1), display=("c", "d"))
+H3_F2 = _f2("H3_F2", ("c", "d"), (1, 1))
 K1_F2 = _f2("K1_F2", ("t1",), (1,))
 K2_F2 = _f2("K2_F2", ("t2",), (1,))
 K3_F2 = _f2("K3_F2", ("t3",), (1,))

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from d8index.homs import (F2_DIAGRAM, FULL_TO_BOUND, MOD2_REDUCTION, RingHom,
-                          Z_DIAGRAM, check_reduction_cube, hom_kernel_slice,
-                          homs_equal_up_to_degree, lift_bound_to_full,
-                          restriction)
+from d8index import homs
+from d8index.homs import (F2_DIAGRAM, FULL_TO_BOUND, MOD2_REDUCTION,
+                          RestrictionDiagram, RingHom, Z_DIAGRAM,
+                          check_reduction_cube, hom_kernel_slice,
+                          lift_bound_to_full, restriction)
 from d8index.rings import get_ring
 from d8index.verify import random_homogeneous
 
@@ -78,21 +79,33 @@ def test_hom_multiplicative_on_random_elements():
             assert hom(p + q) == hom(p) + hom(q)
 
 
-def test_homs_equal_up_to_degree():
-    via_h1 = F2_DIAGRAM.edges[("H1", "K3")].compose(F2_DIAGRAM.edges[("D8", "H1")])
-    via_h2 = F2_DIAGRAM.edges[("H2", "K3")].compose(F2_DIAGRAM.edges[("D8", "H2")])
-    assert homs_equal_up_to_degree(via_h1, via_h2, 8)
-    ident = RingHom.identity(D8)
-    assert homs_equal_up_to_degree(ident, ident, 8)
-    with pytest.raises(ValueError):
-        homs_equal_up_to_degree(ident, via_h1, 4)
-
-
 def test_diagrams_commute():
     for diagram in (F2_DIAGRAM, Z_DIAGRAM):
-        results = diagram.check_commutativity(12)
+        results = diagram.check_commutativity()
         assert results, "expected at least one multi-route comparison"
         assert all(ok for _, ok in results), results
+
+
+def test_diagram_nodes_in_order_of_first_appearance():
+    assert list(F2_DIAGRAM.rings) == ["D8", "H1", "H2", "H3",
+                                      "K1", "K2", "K3", "K4", "K5"]
+    assert list(Z_DIAGRAM.rings) == ["D8", "H1", "H2", "H3", "K3"]
+    assert F2_DIAGRAM.rings["H3"] == get_ring("H3_F2")
+
+
+def _z_diagram_with_u_dead():
+    """The Z diagram with H2 -> K3 sending U to 0: a valid ring map, but
+    D8 -> H2 -> K3 then differs from D8 -> H1 -> K3 only on W, which has
+    degree 4, so a sweep capped below degree 4 would pass it."""
+    edges = dict(Z_DIAGRAM.edges)
+    edges[("H2", "K3")] = RingHom(get_ring("H2_Z"), get_ring("K3_Z"), {"U": 0})
+    return RestrictionDiagram("Z", edges)
+
+
+def test_commutativity_check_can_fail():
+    results = dict(_z_diagram_with_u_dead().check_commutativity())
+    assert results == {"Z: D8->H1->K3 == D8->H2->K3": False,
+                       "Z: D8->H1->K3 == D8->H3->K3": True}
 
 
 def test_every_route_has_the_generator_images_of_res():
@@ -120,9 +133,24 @@ def test_every_route_has_the_generator_images_of_res():
 
 
 def test_reduction_cube_commutes():
-    results = check_reduction_cube(8)
+    results = check_reduction_cube()
     assert len(results) == 7
     assert all(ok for _, ok in results), results
+
+
+def test_reduction_cube_can_fail(monkeypatch):
+    # one wrong reduction image: theta3 -> 0 instead of t3^2
+    monkeypatch.setitem(MOD2_REDUCTION, "K3",
+                        RingHom(get_ring("K3_Z"), get_ring("K3_F2"),
+                                {"theta3": 0}))
+    failed = {label for label, ok in check_reduction_cube() if not ok}
+    assert failed == {"cube H1->K3", "cube H2->K3", "cube H3->K3",
+                      "cube D8->K3"}
+    monkeypatch.undo()
+    # one wrong restriction image in the Z diagram
+    monkeypatch.setattr(homs, "Z_DIAGRAM", _z_diagram_with_u_dead())
+    failed = {label for label, ok in check_reduction_cube() if not ok}
+    assert failed == {"cube H2->K3"}
 
 
 def test_kernel_slices():
