@@ -30,7 +30,7 @@ show the Z criterion never improves on the upper bound.
 """
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 
 from .indexes import (index_product_spheres_z, index_sphere_r4j_z,
                       lucas_binom_mod2, pi_poly)
@@ -58,30 +58,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    d: int
-    j: int
-    criterion: str
-    certified: bool
-    witness: str
+class AdmissibilityVerdict(namedtuple("AdmissibilityVerdict",
+                                       "d j criterion certified witness")):
+    """One verdict: d, j (int), criterion (str), certified (bool) and
+    witness (str), the wording of `_witness`."""
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    j: int
-    ramos_lower: int
-    mvz_upper: int
-    f2_min_d: int | None
-    z_min_d: int | None
-    h1_min_d: int | None
-    scan_cap: int
+class BoundReport(namedtuple("BoundReport", "j ramos_lower mvz_upper f2_min_d "
+                                            "z_min_d h1_min_d scan_cap")):
+    """Bounds for one j: ramos_lower, mvz_upper and scan_cap (int), and the
+    least d each criterion certifies (int, or None up to scan_cap)."""
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _check_positive(**kwargs):
@@ -115,7 +109,7 @@ def admissible_z(d, j, literal_inclusion=False):
     """
     verdict = admissible(d, j, "Z_D8")
     if literal_inclusion:
-        verdict = replace(verdict, certified=not verdict.certified)
+        verdict = verdict._replace(certified=not verdict.certified)
     return verdict
 
 

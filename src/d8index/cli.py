@@ -11,14 +11,12 @@ reader (the usual code for SIGPIPE).
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import bounds as bounds_mod
 from . import indexes, verify
-from .homs import restriction
 from .rings import ElementParseError
 
 SCHEMA = "1"
@@ -61,6 +59,7 @@ def cmd_table(args):
     if args.format == "json":
         _emit_json({"schema": SCHEMA, "rows": rows})
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
         for row in rows:
@@ -99,6 +98,7 @@ def cmd_poly(args):
 
 
 def cmd_restrict(args):
+    from .homs import restriction
     try:
         hom = restriction(args.src, args.to, args.coeff.upper())
     except KeyError as exc:

@@ -16,10 +16,10 @@ recurrence itself is run only to check them.
 
 The module ends with the identities the bounds rest on, each stated
 once.  Where callers sweep different ranges the range is the only
-parameter; where all share one it is a module constant.
+parameter; where all share one it is a module constant.  Identities that
+apply a homomorphism import `homs` in their bodies: a verdict builds none.
 """
 
-from .homs import MOD2_REDUCTION, RingHom, lift_bound_to_full, restriction
 from .poly import slice_intersection_is_zero
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, Z2xZ2_F2,
                     Z2xZ2_Z, f2_polynomial_ring)
@@ -253,6 +253,7 @@ def join_scheme_obstruction(j, coeff="F2"):
     coefficients: the ideal <X> meets the sphere index (lifted to the
     full ring) only in 0 in every degree up to 3j+6.  The sphere index
     rejects j < 1."""
+    from .homs import lift_bound_to_full
     if coeff == "F2":
         return not (D8_F2.gen("x") * index_sphere_r4j_f2(j)[0])
     if coeff == "Z":
@@ -312,6 +313,7 @@ def capital_pi_generating_function_holds():
 
 def pi_restricts_to_rho(top):
     """res_H1(pi_d) = rho_d for every d <= top."""
+    from .homs import restriction
     res = restriction("D8", "H1", "F2")
     return all(res(pi_in_d8(d)) == rho_poly(d) for d in range(top + 1))
 
@@ -326,6 +328,7 @@ def rho_recurrence_holds(top):
 def capital_pi_reduces_to_pi(top):
     """Mod-2 reduction of Pi_d, lifted to the full ring, is pi_2d for
     every d <= top."""
+    from .homs import MOD2_REDUCTION, lift_bound_to_full
     mod2 = MOD2_REDUCTION["D8"]
     return all(mod2(lift_bound_to_full(capital_pi_poly(d))) == pi_in_d8(2 * d)
                for d in range(top + 1))
@@ -345,6 +348,7 @@ def join_scheme_vanishes(coeff):
 def full_index_restriction_images_hold():
     """res_H1 sends the full index of S^d x S^d to rho_(d+1), rho_(d+2)
     and (a(a+b))^(d+1) for 1 <= d <= FULL_IMAGES_DEGREE."""
+    from .homs import restriction
     res = restriction("D8", "H1", "F2")
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     return all([res(g) for g in index_product_spheres_f2(d, "full")]
@@ -355,6 +359,7 @@ def full_index_restriction_images_hold():
 def two_plane_sphere_index_matches_h1():
     """The (Z2)^2 index <t1*t2> of the 2-plane sphere, renamed by
     t1 -> a, t2 -> a+b, is res_H1(w) = a(a+b)."""
+    from .homs import RingHom, restriction
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     rename = RingHom(Z2xZ2_F2, H1_F2, {"t1": "a", "t2": "a+b"})
     rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2)

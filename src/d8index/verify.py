@@ -12,11 +12,9 @@ its range and its label, as the tests do with theirs.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bounds, indexes
-from .homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM, check_reduction_cube,
-                   restriction)
 from .poly import contains_by_enumeration, graded_ideal_slice, ideal_contains
 from .rings import CATALOG, H1_F2, YW_F2
 
@@ -24,11 +22,10 @@ __all__ = ["Check", "ORACLE_INSTANCES", "SUITE_NAMES", "run_suite",
            "random_homogeneous"]
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "name ok detail", defaults=("",))):
+    """One check: its label name (str), ok (bool) and detail (str), the
+    text printed after a failure."""
+    __slots__ = ()
 
 
 def _check(name, ok, detail=""):
@@ -59,6 +56,8 @@ def suite_lemmas():
 # ----------------------------------------------------------------- diagram
 
 def suite_diagram():
+    from .homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM,
+                       check_reduction_cube, restriction)
     checks = []
     for ring in CATALOG.values():
         checks.append(_check(f"rewrite confluence in {ring.name}",

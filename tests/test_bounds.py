@@ -13,6 +13,7 @@ from d8index.indexes import (index_product_spheres_z, index_sphere_r4j_z,
                              pi_poly)
 from d8index.poly import ideal_contains
 from d8index.rings import YW_F2, get_ring
+from d8index.verify import Check
 
 BOUND = get_ring("D8_Z_BOUND")
 H1 = get_ring("H1_F2")
@@ -36,6 +37,21 @@ def test_admissible_z_literal_flag():
     the ham-sandwich lower bound; it stays available but off."""
     assert admissible_z(1, 1, literal_inclusion=True).certified
     assert not admissible_z(3, 1, literal_inclusion=True).certified
+    for j in range(1, 4):
+        for d in range(1, 8):
+            verdict = admissible_z(d, j)
+            literal = admissible_z(d, j, literal_inclusion=True)
+            assert literal.to_dict() == {**verdict.to_dict(),
+                                         "certified": not verdict.certified}
+
+
+def test_records_are_immutable():
+    verdict, report = admissible(2, 1, "F2_D8"), bound_report(1)
+    check = Check("label", True)
+    for record, field in ((verdict, "certified"), (report, "z_min_d"),
+                          (check, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_admissible_h1_examples():

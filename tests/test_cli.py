@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import d8index
 from d8index.cli import main
 from d8index.rings import YW_F2, get_ring
@@ -269,3 +271,55 @@ def test_verify_unknown_suite(capsys):
 def test_missing_subcommand(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# Run in a fresh interpreter: the modules it loads after the snapshot are
+# the ones `cli.main(argv)` needs, whatever the host's site preloads.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from d8index.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+HEAVY_MODULES = {"dataclasses", "inspect", "csv", "d8index.homs"}
+
+LEAN_ARGVS = [
+    ["--help"],
+    *(["admissible", "--d", "2", "--j", "1", "--coeff", c] for c in ("f2", "z", "h1f2")),
+    ["bounds", "--j", "3"],
+    ["table", "--j-max", "3", "--format", "json"],
+    ["table", "--j-max", "3", "--format", "text"],
+    ["poly", "--family", "Pi", "--d", "5"],
+    ["ideal", "--name", "b_ideal", "--d", "3"],
+]
+
+
+def _modules_loaded_by(argv):
+    src = os.path.dirname(os.path.dirname(d8index.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, argv
+    return set(loaded)
+
+
+@pytest.mark.parametrize("argv", LEAN_ARGVS, ids=" ".join)
+def test_verb_loads_no_heavy_module(argv):
+    loaded = _modules_loaded_by(argv)
+    assert "d8index.cli" in loaded
+    assert loaded & HEAVY_MODULES == set()
+
+
+@pytest.mark.parametrize("argv, needed", [
+    (["restrict", "--from", "D8", "--to", "H1", "--coeff", "f2", "--element", "w"],
+     "d8index.homs"),
+    (["verify", "--suite", "diagram"], "d8index.homs"),
+    (["table", "--j-max", "3", "--format", "csv"], "csv"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_verb_loads_what_it_uses(argv, needed):
+    assert needed in _modules_loaded_by(argv)

@@ -5,6 +5,10 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
+import d8index
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "d8index"
 
@@ -37,6 +41,42 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
     assert missing == []
+
+
+# the public API of the package: a change to this set is an API change
+PUBLIC_NAMES = set("""
+AdmissibilityVerdict BoundReport CATALOG ElementParseError F2_DIAGRAM
+FULL_TO_BOUND GradedSlice MOD2_REDUCTION RestrictionDiagram RingElement RingHom
+RingMismatchError RingPresentation YW_F2 Z_DIAGRAM admissible admissible_z
+bound_report capital_pi_poly check_reduction_cube contains_by_enumeration
+f2_polynomial_ring get_ring graded_ideal_slice hom_kernel_slice ideal_contains
+ideal_subset index_h1_z_product index_join index_product_groups
+index_product_spheres_f2 index_product_spheres_z index_rep_sphere_z2k
+index_sphere_r4j_f2 index_sphere_r4j_z index_torus_z2k join_scheme_obstruction
+lift_bound_to_full lucas_binom_mod2 min_certified_d mvz_upper pi_in_d8 pi_poly
+ramos_lower restriction rho_poly slice_intersection_is_zero
+verify_inclusion_power_case verify_inclusion_step verify_membership_transfer
+""".split())
+
+
+def test_package_exports_are_the_objects_their_modules_export():
+    assert len(d8index.__all__) == len(set(d8index.__all__))
+    assert set(d8index.__all__) == PUBLIC_NAMES
+    modules = [importlib.import_module(f"d8index.{p.stem}")
+               for p in sorted(SRC.glob("*.py"))
+               if p.stem not in ("__init__", "__main__")]
+    for name in d8index.__all__:
+        homes = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert homes, f"{name} is in no module's __all__"
+        assert all(getattr(d8index, name) is getattr(m, name) for m in homes), name
+
+
+def test_package_rejects_unknown_names_and_star_binds_all():
+    with pytest.raises(AttributeError):
+        d8index.no_such_name
+    namespace = {}
+    exec("from d8index import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(d8index.__all__)
 
 
 def _coefficient_comparisons(path):
