@@ -23,10 +23,13 @@ reads I_d from `criterion_ideal` and the targets from `criterion_targets`,
 and words the verdict from the first target outside I_d (`_witness`).
 
 Besides the criteria the module carries the ideal chains they test
-against, whose shrinking lets the scan drivers bisect in d, the two
-classical bounds on the minimal admissible dimension (`ramos_lower`,
-`mvz_upper`), and the mechanical verifiers of the inclusion lemmas that
-show the Z criterion never improves on the upper bound.
+against, whose shrinking makes certification upward closed in d, the
+two classical bounds on the minimal admissible dimension (`ramos_lower`,
+`mvz_upper`), the least d each criterion is expected to certify
+(`expected_min_d`), which the scan driver checks with two verdicts
+instead of searching for it, and the mechanical verifiers of the
+inclusion lemmas that show the Z criterion never improves on the upper
+bound.
 """
 
 from bisect import bisect_left
@@ -51,6 +54,7 @@ __all__ = [
     "mvz_upper",
     "min_certified_d",
     "default_scan_cap",
+    "expected_min_d",
     "bound_report",
     "verify_inclusion_power_case",
     "verify_inclusion_step",
@@ -234,22 +238,69 @@ def default_scan_cap(j):
     return max(2 * mvz_upper(j, 2), 24)
 
 
+def expected_min_d(j, criterion):
+    """The least d the criterion is expected to certify: mvz_upper(j, 2)
+    = 2^(q+1) + r for j = 2^q + r, 0 <= r < 2^q, except 2j + 1 for
+    Z_D8 at j = 2^k - 1.
+
+    For H1_F2 this is a theorem for every j.  In the basis (a, c = a+b)
+    the ideal is the monomial ideal <a^(d+1), c^(d+1)> and the target is
+    the sum of a^(j+k) c^(2j-k) over the k that are bitwise subsets of j
+    (`criterion_targets`).  A sum lies in a monomial ideal iff each of
+    its terms does, so d certifies iff some k subset of j has
+    max(j+k, 2j-k) <= d.  k = 2^q gives max(2^(q+1)+r, 2^q+2r) =
+    2^(q+1)+r.  Every other k either contains the bit 2^q, so
+    j+k >= j+2^q = 2^(q+1)+r, or is a subset of r, so
+    2j-k >= 2j-r = 2^(q+1)+r.
+
+    F2_D8 certifies no later than H1_F2, by restriction: res_H1 sends
+    y -> b and w -> a(a+b), so it sends y^j w^j to the H1 target and
+    pi_n to rho_n, which lies in <a^(d+1), (a+b)^(d+1)> for n >= d+1.
+    An H1 non-member at d is therefore an F2 non-member at d.
+
+    That F2_D8 certifies at no smaller d, and the Z_D8 value, are
+    observations, checked for every j <= 256.  `min_certified_d` checks
+    the value with its verdicts and searches when it misses, so its
+    answer does not depend on this function.
+    """
+    _check_positive(j=j)
+    if criterion not in CRITERION_REGISTRY:
+        raise KeyError(f"unknown criterion {criterion!r}")
+    if criterion == "Z_D8" and j & (j + 1) == 0:
+        return 2 * j + 1
+    return mvz_upper(j, 2)
+
+
 def min_certified_d(j, criterion, d_cap=None):
     """Smallest d in [1, d_cap] the criterion certifies, or None.
 
     Certification is upward closed in d, since each criterion's ideals
-    shrink as d grows (`criterion_chains_shrink`).  So `bisect_left`
-    over [1, d_cap] finds the least certified d, in at most
-    d_cap.bit_length() verdicts.
+    shrink as d grows (`criterion_chains_shrink`).  So if d is certified
+    and d - 1 is not, d is the least certified d.  The scan checks that
+    for d = `expected_min_d` (or d_cap, if that is smaller) with two
+    verdicts.  On a miss it bisects the range the two verdicts leave:
+    above d if d is not certified, below d - 1 if d - 1 is.
     """
     _check_positive(j=j)
     if criterion not in CRITERION_REGISTRY:
         raise KeyError(f"unknown criterion {criterion!r}")
     if d_cap is None:
         d_cap = default_scan_cap(j)
-    ds = range(1, d_cap + 1)
-    i = bisect_left(ds, True, key=lambda d: admissible(d, j, criterion).certified)
-    return ds[i] if i < len(ds) else None
+    if d_cap < 1:
+        return None
+
+    def certified(d):
+        return admissible(d, j, criterion).certified
+
+    hint = min(max(expected_min_d(j, criterion), 1), d_cap)
+    if not certified(hint):
+        ds, fallback = range(hint + 1, d_cap + 1), None
+    elif hint == 1 or not certified(hint - 1):
+        return hint
+    else:
+        ds, fallback = range(1, hint - 1), hint - 1
+    i = bisect_left(ds, True, key=certified)
+    return ds[i] if i < len(ds) else fallback
 
 
 def bound_report(j, scan_cap=None):

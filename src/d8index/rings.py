@@ -262,9 +262,9 @@ class RingPresentation:
     def graded_slice(self, degree):
         """The slice of the degree.  The two most recently used slices are
         kept and returned again for their degrees, so memory stays
-        bounded.  Two slots cover a `Z_D8` bisection step at odd j, whose
-        generators of A_j have degrees 3j+2 and 3j+3, and 3j+3 is also
-        the degree of the next, even, j."""
+        bounded.  Two slots let the verdicts of a `Z_D8` scan at odd j
+        alternate between the degrees 3j+2 and 3j+3 of the generators of
+        A_j, and 3j+3 is also the degree of the next, even, j."""
         slice_ = next((s for s in self._slices if s.degree == degree), None)
         if slice_ is None:
             basis = self.monomials(degree)

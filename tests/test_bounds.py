@@ -1,11 +1,14 @@
+from bisect import bisect_left
+
 import pytest
+from test_acceptance import h1_closed_form_min_d, z_closed_form_min_d
 
 from d8index import bounds
 from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict,
                             admissible, admissible_z, bound_report,
                             criterion_chain_step, criterion_chains_shrink,
                             criterion_ideal, criterion_targets, default_scan_cap,
-                            min_certified_d, mvz_upper,
+                            expected_min_d, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_step, verify_membership_transfer)
 from d8index.homs import RingHom
@@ -182,6 +185,58 @@ def test_min_certified_d_probes_at_most_bit_length(monkeypatch):
                 top = cap or default_scan_cap(j)
                 assert all(1 <= d <= top for d in probed), (criterion, j, cap)
                 assert len(probed) <= top.bit_length(), (criterion, j, cap)
+
+
+def _bisect_min_certified_d(j, criterion, d_cap):
+    """The least certified d by a plain `bisect_left` over [1, d_cap]."""
+    ds = range(1, d_cap + 1)
+    i = bisect_left(ds, True, key=lambda d: admissible(d, j, criterion).certified)
+    return ds[i] if i < len(ds) else None
+
+
+def test_min_certified_d_matches_plain_bisection():
+    for j in range(1, 33):
+        for criterion in CRITERION_REGISTRY:
+            for cap in (1, 2, 3, 5, 24, None):
+                plain = _bisect_min_certified_d(j, criterion,
+                                                cap or default_scan_cap(j))
+                assert min_certified_d(j, criterion, cap) == plain, \
+                    (criterion, j, cap)
+
+
+@pytest.mark.parametrize("wrong", [lambda hint, top: hint - 3,
+                                   lambda hint, top: hint - 1,
+                                   lambda hint, top: hint + 1,
+                                   lambda hint, top: hint + 4,
+                                   lambda hint, top: 1,
+                                   lambda hint, top: top + 5],
+                         ids=["hint-3", "hint-1", "hint+1", "hint+4", "one",
+                              "cap+5"])
+def test_a_wrong_expected_min_d_cannot_change_the_result(monkeypatch, wrong):
+    """Every fallback of the scan, the hint above the cap included."""
+    for j in range(1, 13):
+        for criterion in CRITERION_REGISTRY:
+            for cap in (3, 24, None):
+                top = cap or default_scan_cap(j)
+                linear = _linear_min_certified_d(j, criterion, top)
+                hint = expected_min_d(j, criterion)
+                monkeypatch.setattr(bounds, "expected_min_d",
+                                    lambda *_: wrong(hint, top))
+                assert min_certified_d(j, criterion, cap) == linear, \
+                    (criterion, j, cap)
+
+
+def test_expected_min_d_is_the_acceptance_closed_forms():
+    """Pure arithmetic: acceptance criterion 2 keeps its own closed forms."""
+    for j in range(1, 1025):
+        h1 = h1_closed_form_min_d(j)
+        assert expected_min_d(j, "F2_D8") == h1 == mvz_upper(j, 2), j
+        assert expected_min_d(j, "H1_F2") == h1, j
+        assert expected_min_d(j, "Z_D8") == z_closed_form_min_d(j), j
+    with pytest.raises(KeyError):
+        expected_min_d(3, "F3_D8")
+    with pytest.raises(ValueError):
+        expected_min_d(0, "F2_D8")
 
 
 def test_criterion_ideal():

@@ -126,6 +126,15 @@ def test_bounds_j3(capsys):
     assert payload["f2_min_d"] == 5
 
 
+def test_bounds_with_the_z_expectation_above_the_cap(capsys):
+    # Z_D8 is expected at 31 for j = 15; the scan probes the cap instead
+    code, out, _ = run(capsys, "bounds", "--j", "15", "--scan-cap", "24")
+    assert code == 0
+    assert out == ('{"schema": "1", "j": 15, "ramos_lower": 23, "mvz_upper": 23, '
+                   '"f2_min_d": 23, "z_min_d": null, "h1_min_d": 23, '
+                   '"scan_cap": 24}\n')
+
+
 def test_output_deterministic(capsys):
     _, first, _ = run(capsys, "bounds", "--j", "2")
     _, second, _ = run(capsys, "bounds", "--j", "2")
