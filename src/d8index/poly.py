@@ -15,12 +15,15 @@ against it, and whether two ideal slices meet only in 0 is a count of
 subgroup orders.
 
 `contains_by_enumeration` is the independent brute-force oracle: it
-spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
-enumerates every sum of multiples of the slice elements with its own
-bitplane addition and never touches the elimination code paths.
+spans the slice in `RingElement` arithmetic (`graded_ideal_slice`) and
+hands the span to `span_contains_by_enumeration`, which enumerates
+every sum of multiples of the slice elements with its own bitplane
+addition and never touches the elimination code paths.  A caller that
+has already spanned an instance in ring arithmetic passes that span to
+`span_contains_by_enumeration` itself.
 """
 
-from operator import lshift
+from operator import add, lshift
 
 from .linalg import z4_in_span, z4_log2_order
 from .rings import GradedSlice, RingElement, RingMismatchError
@@ -32,6 +35,7 @@ __all__ = [
     "ideal_contains",
     "ideal_subset",
     "contains_by_enumeration",
+    "span_contains_by_enumeration",
     "slice_intersection_is_zero",
     "element_vector",
     "vector_element",
@@ -63,7 +67,7 @@ def graded_ideal_slice(gens, degree):
         terms = g.terms.items()
         for mono in ring.monomials(mdeg):
             prod = RingElement(ring, ring.normal_form(
-                {tuple(a + b for a, b in zip(mono, t)): c for t, c in terms}))
+                {tuple(map(add, mono, t)): c for t, c in terms}))
             if prod:
                 out.append(prod)
     return out
@@ -183,26 +187,37 @@ def contains_by_enumeration(gens, f):
     """Brute-force membership oracle.
 
     Spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
-    not by `ideal_slice_vectors`, so it also checks span generation.
-    Builds the set of every sum of multiples of the slice elements, each
-    packed vector v contributing its distinct nonzero multiples among v,
-    2v, 3v (over F2 only v itself), and looks the target up.
+    not by `ideal_slice_vectors`, so it also checks span generation, and
+    enumerates that span with `span_contains_by_enumeration`.
     """
-    instance = _membership_instance(gens, f)
-    if instance is None:
+    if _membership_instance(gens, f) is None:
         return True
-    slice_, target = instance
-    vectors = [element_vector(e, slice_)
-               for e in graded_ideal_slice(gens, slice_.degree)]
+    return span_contains_by_enumeration(graded_ideal_slice(gens, f.degree()), f)
+
+
+def span_contains_by_enumeration(span, f):
+    """True iff f is a sum of multiples of the elements of `span`.
+
+    f is a nonzero homogeneous element of positive degree and `span` a
+    list of elements of f's ring and degree, such as the spanning set
+    `graded_ideal_slice` gives.  Builds the set of every sum of multiples
+    of the span elements, each packed vector v contributing its distinct
+    nonzero multiples among v, 2v, 3v (over F2 only v itself), and looks
+    the target up.
+    """
+    _common_ring(list(span) + [f])
+    slice_ = f.ring.graded_slice(f.degree())
+    target = element_vector(f, slice_)
+    vectors = [element_vector(e, slice_) for e in span]
     mask4 = slice_.mask4
 
-    def add(a, b):
+    def plus(a, b):
         return a[0] ^ b[0], (a[1] ^ b[1] ^ (a[0] & b[0])) & mask4
 
     sums = {(0, 0)}
     for v in vectors:
-        multiples = {v, (0, v[0] & mask4), add(v, (0, v[0] & mask4))} - {(0, 0)}
-        sums |= {add(s, m) for s in sums for m in multiples}
+        multiples = {v, (0, v[0] & mask4), plus(v, (0, v[0] & mask4))} - {(0, 0)}
+        sums |= {plus(s, m) for s in sums for m in multiples}
     return target in sums
 
 

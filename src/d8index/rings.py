@@ -16,6 +16,7 @@ subgroups, for both coefficient systems, keyed by stable identifiers.
 """
 
 import re
+from operator import add, mul, sub
 
 __all__ = [
     "RingMismatchError",
@@ -74,8 +75,16 @@ class RingPresentation:
     (monomial/pattern) * replacement, where `replacement` maps monomials
     to integer coefficients.  Construction rejects a unit pattern, and a
     replacement monomial of another degree than its pattern or divisible
-    by it, which would rewrite forever.  Termination across rules is not
-    checked; `check_confluence` tests confluence up to degree 12.
+    by it, which would rewrite forever.  In a Z ring it also rejects a
+    replacement term c*m that the pattern's additive order o does not
+    kill (o*c not 0 modulo the order of m), judged from the order classes
+    alone, without rewriting.  Termination across rules is not checked;
+    `check_confluence` tests confluence up to degree 12.
+
+    Construction compiles what `normal_form` needs for every monomial:
+    each rule's pattern support as (index, exponent) pairs, the indices
+    of the order-2 generators, which fix a monomial's order class, and
+    the structural hash.
     """
 
     def __init__(self, name, coeff, gens, degrees, orders=None,
@@ -100,14 +109,25 @@ class RingPresentation:
              tuple(sorted((self._exponents(m), int(c)) for m, c in dict(rep).items())))
             for pat, rep in relations
         )
-        for pat, rep in self.relations:
-            if not any(pat):
+        # a rule is (support, pattern, replacement): support lists the
+        # (index, exponent) pairs of the pattern's nonzero exponents
+        self._rules = tuple(
+            (tuple((i, p) for i, p in enumerate(pat) if p), pat, rep)
+            for pat, rep in self.relations)
+        # a positive-degree Z monomial has order 2 iff one of these divides it
+        self._order2 = tuple(i for i, o in enumerate(self.orders) if o == 2)
+        for support, pat, rep in self._rules:
+            if not support:
                 raise ValueError("relation pattern is the unit monomial")
-            for mono, _ in rep:
+            order = self.monomial_order(pat)
+            for mono, c in rep:
                 if self.monomial_degree(mono) != self.monomial_degree(pat):
                     raise ValueError(f"relation {pat!r} -> {mono!r} changes degree")
-                if all(m >= p for m, p in zip(mono, pat)):
+                if all(mono[i] >= p for i, p in support):
                     raise ValueError(f"relation {pat!r} -> {mono!r} rewrites forever")
+                if order * c % self.monomial_order(mono):
+                    raise ValueError(f"relation {pat!r} -> {mono!r}: order {order} "
+                                     f"of the pattern does not kill {c}*{mono!r}")
         self._symbols = {s: i for i, s in enumerate(self.gens)}
         # factors print in descending generator degree, ties by position
         self._print_order = sorted(range(len(self.gens)),
@@ -117,12 +137,14 @@ class RingPresentation:
         # equality is structural: the name is only a catalog label
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
-        return isinstance(other, RingPresentation) and self._key == other._key
+        return self is other or (isinstance(other, RingPresentation)
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"RingPresentation({self.name})"
@@ -139,58 +161,70 @@ class RingPresentation:
         return mono
 
     def monomial_degree(self, mono):
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def monomial_order(self, mono):
         """Additive order of a normal monomial: 2, 4, or 0 for 'free'."""
         if self.coeff == "F2":
             return 2
-        support = [self.orders[i] for i, e in enumerate(mono) if e]
-        if not support:
+        if not any(mono):
             return 0
-        return 4 if min(support) == 4 else 2
-
-    def _reduce_coeff(self, mono, c):
-        order = self.monomial_order(mono)
-        return c % order if order else c
-
-    def _matching_rule(self, mono):
-        for pat, rep in self.relations:
-            if all(m >= p for m, p in zip(mono, pat)):
-                return pat, rep
-        return None
+        return 2 if any(map(mono.__getitem__, self._order2)) else 4
 
     def is_normal_monomial(self, mono):
-        return self._matching_rule(mono) is None
+        """No rule pattern divides the monomial."""
+        for support, _, _ in self._rules:
+            for i, p in support:
+                if mono[i] < p:
+                    break
+            else:
+                return False
+        return True
 
     @staticmethod
     def _rewrite(mono, coeff, pat, rep):
         """One rewrite step of coeff * mono by the rule (pat, rep), pat
         dividing mono: the raw terms of coeff * (mono/pat) * rep."""
-        rest = tuple(m - p for m, p in zip(mono, pat))
-        return [(tuple(a + b for a, b in zip(rest, rmono)), coeff * rcoeff)
+        rest = tuple(map(sub, mono, pat))
+        return [(tuple(map(add, rest, rmono)), coeff * rcoeff)
                 for rmono, rcoeff in rep]
 
     def normal_form(self, terms):
         """Rewrite a raw {monomial: int} dict to normal form.
 
-        Rules are applied until none matches (each catalog rule strictly
-        lowers a well-founded measure, so this terminates), then coefficients
-        are reduced modulo each monomial's additive order.
+        The first rule whose pattern divides a monomial rewrites it, until
+        none does (each catalog rule strictly lowers a well-founded
+        measure, so this terminates); a ring without rules skips the loop.
+        Then coefficients are reduced modulo each monomial's additive
+        order: `& 1` in an F2 ring; in a Z ring `& 1` when an order-2
+        generator divides the monomial, else `& 3`, and not at all at
+        degree 0.
         """
-        out = {}
-        stack = list(terms.items())
-        while stack:
-            mono, coeff = stack.pop()
-            if coeff == 0:
-                continue
-            rule = self._matching_rule(mono)
-            if rule is None:
-                out[mono] = out.get(mono, 0) + coeff
-            else:
-                stack += self._rewrite(mono, coeff, *rule)
+        rules = self._rules
+        if rules:
+            out = {}
+            stack = list(terms.items())
+            while stack:
+                mono, coeff = stack.pop()
+                if not coeff:
+                    continue
+                for support, pat, rep in rules:
+                    for i, p in support:  # does pat divide mono?
+                        if mono[i] < p:
+                            break
+                    else:
+                        stack += self._rewrite(mono, coeff, pat, rep)
+                        break
+                else:
+                    out[mono] = out.get(mono, 0) + coeff
+        else:
+            out = terms
+        if self.coeff == "F2":
+            return {mono: 1 for mono, c in out.items() if c & 1}
+        order2 = self._order2
         return {mono: r for mono, c in out.items()
-                if (r := self._reduce_coeff(mono, c))}
+                if (r := c & 1 if any(map(mono.__getitem__, order2))
+                    else c & 3 if any(mono) else c)}
 
     def check_confluence(self):
         """Rewriting reaches the same normal form whichever matching rule
@@ -199,8 +233,8 @@ class RingPresentation:
             for mono in self.all_exponents(degree):
                 # rep's monomials are distinct, so are their shifts
                 firsts = [self.normal_form(dict(self._rewrite(mono, 1, pat, rep)))
-                          for pat, rep in self.relations
-                          if all(m >= p for m, p in zip(mono, pat))]
+                          for support, pat, rep in self._rules
+                          if all(mono[i] >= p for i, p in support)]
                 if firsts and any(f != firsts[0] for f in firsts[1:]):
                     return False
         return True
@@ -221,10 +255,10 @@ class RingPresentation:
         # closing[i]: the patterns whose last nonzero entry is i < last
         closing = [[] for _ in degrees]
         if staircase:
-            for pat, _ in self.relations:
-                nonzero = [i for i, p in enumerate(pat) if p]
-                if nonzero and nonzero[-1] < last:
-                    closing[nonzero[-1]].append(pat)
+            for support, pat, _ in self._rules:
+                i = support[-1][0]
+                if i < last:
+                    closing[i].append(pat)
         result = []
 
         def rec(i, remaining, prefix):
@@ -413,7 +447,7 @@ class RingElement:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
+                key = tuple(map(add, m1, m2))
                 terms[key] = terms.get(key, 0) + c1 * c2
         return RingElement(self.ring, self.ring.normal_form(terms))
 

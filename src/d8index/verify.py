@@ -15,7 +15,7 @@ import random
 from collections import namedtuple
 
 from . import bounds, indexes
-from .poly import contains_by_enumeration, graded_ideal_slice, ideal_contains
+from .poly import graded_ideal_slice, ideal_contains, span_contains_by_enumeration
 from .rings import CATALOG, H1_F2, YW_F2
 
 __all__ = ["Check", "ORACLE_INSTANCES", "SUITE_NAMES", "run_suite",
@@ -155,7 +155,9 @@ def random_homogeneous(ring, degree, rng, max_terms=3):
 
 
 def _random_instance(ring, rng, max_degree, slice_cap):
-    """A membership instance (gens, f) whose slice stays below the cap."""
+    """A membership instance (gens, f) whose slice stays below the cap,
+    with the spanning set `graded_ideal_slice(gens, f.degree())` it was
+    drawn from: (gens, f, span)."""
     while True:
         degree = rng.randint(2, max_degree)
         gens = []
@@ -178,7 +180,7 @@ def _random_instance(ring, rng, max_degree, slice_cap):
         else:
             f = random_homogeneous(ring, degree, rng)
         if f:
-            return gens, f
+            return gens, f, slice_elems
 
 
 # random membership instances per catalog ring
@@ -195,8 +197,10 @@ def suite_oracle():
             deg_cap, slice_cap = 10, 8
         mismatches = 0
         for _ in range(ORACLE_INSTANCES):
-            gens, f = _random_instance(ring, rng, deg_cap, slice_cap)
-            if ideal_contains(gens, f) != contains_by_enumeration(gens, f):
+            # the enumeration reads the builder's span: each instance is
+            # spanned once in ring arithmetic
+            gens, f, span = _random_instance(ring, rng, deg_cap, slice_cap)
+            if ideal_contains(gens, f) != span_contains_by_enumeration(span, f):
                 mismatches += 1
         checks.append(_check(
             f"membership matches enumeration on {ORACLE_INSTANCES} instances "

@@ -7,7 +7,8 @@ from d8index.linalg import z4_in_span
 from d8index.poly import (contains_by_enumeration, element_vector,
                           graded_ideal_slice, ideal_contains,
                           ideal_slice_vectors, ideal_subset,
-                          slice_intersection_is_zero, vector_element)
+                          slice_intersection_is_zero,
+                          span_contains_by_enumeration, vector_element)
 from d8index.rings import (CATALOG, GradedSlice, RingMismatchError, YW_F2,
                            get_ring)
 from d8index.verify import random_homogeneous
@@ -174,6 +175,40 @@ def test_ideal_contains_zero_and_degree_zero():
 def test_ideal_contains_ring_mismatch():
     with pytest.raises(RingMismatchError):
         ideal_contains([_yw("y")], D8.gen("y"))
+
+
+def test_enumeration_keeps_the_membership_input_checks():
+    assert contains_by_enumeration([_yw("y^2")], YW_F2.zero())
+    with pytest.raises(ValueError):
+        contains_by_enumeration([_yw("y^2")], YW_F2.one())
+    with pytest.raises(RingMismatchError):
+        contains_by_enumeration([_yw("y")], D8.gen("y"))
+
+
+def test_enumeration_over_a_given_span():
+    """`contains_by_enumeration` is `span_contains_by_enumeration` over
+    `graded_ideal_slice`; the span may be any list of elements of f's
+    ring and degree."""
+    full = get_ring("D8_Z_FULL")
+    W, X = full.gen("W"), full.gen("X")
+    assert span_contains_by_enumeration([2 * W], 2 * W)
+    assert not span_contains_by_enumeration([2 * W], W)
+    assert not span_contains_by_enumeration([], W)
+    assert span_contains_by_enumeration([W + X * X, X * X], 3 * W)
+    with pytest.raises(RingMismatchError):
+        span_contains_by_enumeration([_yw("w")], D8.gen("w"))
+    rng = random.Random(8)
+    for ring in (D8, BOUND, full):
+        for _ in range(40):
+            degree = rng.randint(2, 8)
+            gens = [random_homogeneous(ring, rng.randint(1, degree), rng)
+                    for _ in range(2)]
+            f = random_homogeneous(ring, degree, rng)
+            span = graded_ideal_slice(gens, degree)
+            if f and len(span) <= 8:
+                assert (span_contains_by_enumeration(span, f)
+                        == contains_by_enumeration(gens, f)
+                        == ideal_contains(gens, f))
 
 
 def test_torsion_membership():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import pytest
 
@@ -79,18 +80,20 @@ def test_rewrite_confluence(name):
     assert ring.check_confluence()
 
 
+NON_CONFLUENT = RingPresentation("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
+                                 relations=[((2, 0), {(0, 2): 1}), ((1, 1), {})])
+
+
 def test_confluence_check_can_fail():
     """x^2 -> y^2, x*y -> 0 terminates but is not confluent: x^2*y
     rewrites to y^3 by one rule and to 0 by the other."""
-    ring = RingPresentation("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
-                            relations=[((2, 0), {(0, 2): 1}), ((1, 1), {})])
-    assert not ring.check_confluence()
+    assert not NON_CONFLUENT.check_confluence()
 
 
 @pytest.mark.parametrize("name", ALL_RING_IDS)
 def test_normal_form_idempotent(name):
     ring = get_ring(name)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(name.encode()))  # the same in every process
     for _ in range(1000):
         degree = rng.randint(1, 10)
         monos = ring.all_exponents(degree)
@@ -147,6 +150,7 @@ def test_generator_degrees_must_be_positive():
     ((2, 2), [((0, 0), {})]),                     # unit pattern
     ((2, 2), [((2, 0), {(1, 0): 1})]),            # replacement changes degree
     ((2, 2), [((1, 0), {(1, 0): 1})]),            # pattern divides replacement
+    ((2, 4), [((2, 0), {(0, 1): 1})]),            # 2*u^2 = 0 but 2*v != 0
 ])
 def test_bad_presentations_are_rejected_at_construction(orders, relations):
     """Only constructed, never rewritten: a malformed rule could make
@@ -154,6 +158,140 @@ def test_bad_presentations_are_rejected_at_construction(orders, relations):
     with pytest.raises(ValueError):
         RingPresentation("bad", "Z", ("u", "v"), (1, 2), orders=orders,
                          relations=relations)
+
+
+def test_rules_must_respect_torsion():
+    """X^2 -> W^2 with 2X = 0 and 4W = 0 would make X*(2*X) = 0 but
+    (X*X)*2 = 2*W^2.  A replacement term that the pattern's order kills
+    is accepted: the coefficient 2 on the order-4 W^2, and an order-2
+    term under an order-4 pattern."""
+    def ring(orders, rep):
+        return RingPresentation("r", "Z", ("X", "W"), (2, 2), orders,
+                                relations=[((2, 0), rep)])
+
+    with pytest.raises(ValueError, match="does not kill"):
+        ring((2, 4), {(0, 2): 1})
+    with pytest.raises(ValueError, match="does not kill"):
+        ring((2, 4), {(0, 2): 3, (1, 1): 1})
+    doubled = ring((2, 4), {(0, 2): 2})
+    assert doubled.parse("X^2") == doubled.parse("2*W^2")
+    assert doubled.parse("2*X^2") == doubled.zero()
+    order4 = ring((4, 2), {(0, 2): 1})
+    assert order4.parse("2*X^2") == order4.zero()
+    # an F2 ring has every order 2
+    RingPresentation("r", "F2", ("X", "W"), (2, 2),
+                     relations=[((2, 0), {(0, 2): 1})])
+
+
+def test_presentation_equality_is_structural():
+    """The name is a label: a renamed copy is equal, hashes alike and its
+    elements mix with the original's; other relations or orders differ."""
+    bound = get_ring("D8_Z_BOUND")
+    gens, degrees = ("Y", "M", "W"), (2, 3, 4)
+    relations = [((0, 2, 0), {(1, 0, 1): 1})]
+    copy = RingPresentation("renamed", "Z", gens, degrees, (2, 2, 4), relations)
+    assert copy == bound and hash(copy) == hash(bound) and copy is not bound
+    assert len({copy, bound}) == 1
+    for other in (
+            RingPresentation("r", "Z", gens, degrees, (2, 2, 4)),
+            RingPresentation("r", "Z", gens, degrees, (2, 2, 4),
+                             [((0, 2, 0), {(1, 0, 1): 1}), ((1, 1, 0), {})]),
+            RingPresentation("r", "Z", gens, degrees, (2, 2, 2), relations),
+            RingPresentation("r", "Z", gens, degrees, (2, 4, 4), relations),
+            RingPresentation("r", "F2", gens, degrees, relations=relations)):
+        assert other != bound
+        assert other.parse("Y") != bound.parse("Y")
+        with pytest.raises(RingMismatchError):
+            _ = other.parse("Y") + bound.parse("Y")
+    assert bound != "D8_Z_BOUND"
+    a, b = copy.parse("M*Y+3*W"), bound.parse("W^2")
+    assert a * b == bound.parse("M*Y") * b + 3 * bound.parse("W^3")
+    assert a + bound.parse("W") == bound.parse("M*Y")
+    assert (a * a, a - a) == (bound.parse("W*Y^3+W^2"), bound.zero())
+
+
+class ReferenceNormalForm:
+    """`RingPresentation.normal_form`, `_matching_rule` and
+    `monomial_order` as they were before construction compiled each
+    rule's support and the order-2 generators, copied word for word: the
+    compiled normal form must agree with it."""
+
+    def __init__(self, ring):
+        self.coeff, self.orders, self.relations = ring.coeff, ring.orders, ring.relations
+
+    def monomial_order(self, mono):
+        """Additive order of a normal monomial: 2, 4, or 0 for 'free'."""
+        if self.coeff == "F2":
+            return 2
+        support = [self.orders[i] for i, e in enumerate(mono) if e]
+        if not support:
+            return 0
+        return 4 if min(support) == 4 else 2
+
+    def _reduce_coeff(self, mono, c):
+        order = self.monomial_order(mono)
+        return c % order if order else c
+
+    def _matching_rule(self, mono):
+        for pat, rep in self.relations:
+            if all(m >= p for m, p in zip(mono, pat)):
+                return pat, rep
+        return None
+
+    @staticmethod
+    def _rewrite(mono, coeff, pat, rep):
+        """One rewrite step of coeff * mono by the rule (pat, rep), pat
+        dividing mono: the raw terms of coeff * (mono/pat) * rep."""
+        rest = tuple(m - p for m, p in zip(mono, pat))
+        return [(tuple(a + b for a, b in zip(rest, rmono)), coeff * rcoeff)
+                for rmono, rcoeff in rep]
+
+    def normal_form(self, terms):
+        """Rewrite a raw {monomial: int} dict to normal form.
+
+        Rules are applied until none matches (each catalog rule strictly
+        lowers a well-founded measure, so this terminates), then coefficients
+        are reduced modulo each monomial's additive order.
+        """
+        out = {}
+        stack = list(terms.items())
+        while stack:
+            mono, coeff = stack.pop()
+            if coeff == 0:
+                continue
+            rule = self._matching_rule(mono)
+            if rule is None:
+                out[mono] = out.get(mono, 0) + coeff
+            else:
+                stack += self._rewrite(mono, coeff, *rule)
+        return {mono: r for mono, c in out.items()
+                if (r := self._reduce_coeff(mono, c))}
+
+
+REFERENCE_RINGS = {**CATALOG, "YW_F2": YW_F2, "non-confluent": NON_CONFLUENT}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RINGS))
+def test_compiled_normal_form_matches_reference(name):
+    """Random raw dicts of every degree up to 12, normal monomials or not,
+    the degree-0 monomial among them, coefficients -3..5 with 0."""
+    ring = REFERENCE_RINGS[name]
+    reference = ReferenceNormalForm(ring)
+    raw = [m for n in range(13) for m in ring.all_exponents(n)]
+    for mono in raw:
+        assert ring.monomial_order(mono) == reference.monomial_order(mono), mono
+    unit = (0,) * len(ring.gens)
+    rng = random.Random(zlib.crc32(name.encode()))
+    rewritten = 0
+    for _ in range(400):
+        monos = rng.sample(raw, min(rng.randint(1, 4), len(raw)))
+        if rng.random() < 0.2:
+            monos.append(unit)
+        terms = {m: rng.randint(-3, 5) for m in monos}
+        expected = reference.normal_form(terms)
+        assert ring.normal_form(terms) == expected, terms
+        rewritten += not all(map(ring.is_normal_monomial, terms))
+    assert rewritten >= 40 or not ring.relations
 
 
 @pytest.mark.parametrize("mono", [(-1, 2), (1.5, 1), (1,), (1, 1, 0)])

@@ -1,7 +1,11 @@
 """The verify suites keep every check label.  The benchmark counts PASS
 lines, so a dropped or renamed check must fail here first."""
 
-from d8index import bounds
+import hashlib
+
+import pytest
+
+from d8index import bounds, poly, verify
 from d8index.verify import run_suite
 
 RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
@@ -65,3 +69,71 @@ def test_chain_check_runs_the_replay(monkeypatch):
     monkeypatch.setattr(bounds, "criterion_chains_shrink", lambda top: False)
     failing = [check.name for check in run_suite("indexes") if not check.ok]
     assert failing == ["product index chains shrink as d grows, d <= 30"]
+
+
+# sha256 over f"{(gens, f)}\n" for every instance `suite_oracle` checks,
+# in order, as recorded before the oracle reused the builder's span
+ORACLE_DIGEST = "432859f64b9793f6e101b601ba34c016d7482ffa29cc22649b0cc6d8dc59c444"
+
+
+@pytest.fixture(scope="module")
+def oracle_run():
+    """One run of `suite_oracle` that records each instance it checks and
+    counts the `graded_ideal_slice` calls made inside and outside the
+    instance builder, wherever the callers look the name up."""
+    record = {"instances": [], "inside": 0, "outside": 0, "spans": [],
+              "reused": []}
+    building = [False]
+    span_of = verify.graded_ideal_slice
+    build, decide = verify._random_instance, verify.ideal_contains
+    enumerate_span = verify.span_contains_by_enumeration
+
+    def counted_span(gens, degree):
+        record["inside" if building[0] else "outside"] += 1
+        return span_of(gens, degree)
+
+    def counted_build(*args):
+        building[0] = True
+        try:
+            instance = build(*args)
+        finally:
+            building[0] = False
+        record["spans"].append(instance[-1])
+        return instance
+
+    def recorded_decide(gens, f):
+        record["instances"].append((gens, f))
+        return decide(gens, f)
+
+    def checked_enumeration(span, f):
+        record["reused"].append(span is record["spans"][-1])
+        return enumerate_span(span, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (verify, poly):
+            mp.setattr(module, "graded_ideal_slice", counted_span)
+        mp.setattr(verify, "_random_instance", counted_build)
+        mp.setattr(verify, "ideal_contains", recorded_decide)
+        mp.setattr(verify, "span_contains_by_enumeration", checked_enumeration)
+        record["checks"] = verify.suite_oracle()
+    return record
+
+
+def test_oracle_checks_the_recorded_instances(oracle_run):
+    assert all(check.ok for check in oracle_run["checks"])
+    instances = oracle_run["instances"]
+    assert len(instances) == 19 * verify.ORACLE_INSTANCES
+    digest = hashlib.sha256()
+    for gens, f in instances:
+        digest.update(f"{(gens, f)}\n".encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_oracle_spans_each_instance_once(oracle_run):
+    """The enumeration reads the span the builder made: no
+    `graded_ideal_slice` call outside the builder (9,500 of 20,252 calls
+    were, when the enumeration spanned each instance again)."""
+    assert oracle_run["outside"] == 0
+    assert oracle_run["inside"] == 10_752
+    assert len(oracle_run["spans"]) == len(oracle_run["instances"])
+    assert oracle_run["reused"] == [True] * len(oracle_run["instances"])
