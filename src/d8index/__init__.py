@@ -22,7 +22,7 @@ _HOMES = {
     "homs": "F2_DIAGRAM FULL_TO_BOUND MOD2_REDUCTION RestrictionDiagram RingHom "
             "Z_DIAGRAM check_reduction_cube hom_kernel_slice lift_bound_to_full "
             "restriction",
-    "indexes": "capital_pi_poly index_h1_z_product index_join index_product_groups "
+    "indexes": "capital_pi_poly index_h1_z_product index_join "
                "index_product_spheres_f2 index_product_spheres_z "
                "index_rep_sphere_z2k index_sphere_r4j_f2 index_sphere_r4j_z "
                "index_torus_z2k join_scheme_obstruction lucas_binom_mod2 pi_in_d8 "

@@ -37,7 +37,6 @@ __all__ = [
     "index_rep_sphere_z2k",
     "index_torus_z2k",
     "index_join",
-    "index_product_groups",
     "index_h1_z_product",
     "join_scheme_obstruction",
     "recurrence_matches_binomial",
@@ -214,36 +213,6 @@ def index_join(f, g):
     if f[0].ring != g[0].ring:
         raise ValueError("join requires indexes in the same ring")
     return (f[0] * g[0],)
-
-
-def index_product_groups(f, g):
-    """Index of a product of group actions over a field: the ideal in
-    the tensor polynomial ring generated by both generator lists.  Valid
-    only for relation-free F2 rings; with torsion coefficients the
-    product formula fails."""
-    for gens in (f, g):
-        if not gens or any(e.ring != gens[0].ring for e in gens):
-            raise ValueError("each factor needs generators in one ring")
-        if gens[0].ring.coeff != "F2" or gens[0].ring.relations:
-            raise ValueError("product formula needs relation-free field "
-                             "coefficients")
-    ring_f, ring_g = f[0].ring, g[0].ring
-    syms_f, syms_g = ring_f.gens, ring_g.gens
-    if set(syms_f) & set(syms_g):
-        raise ValueError("generator name clash between the factor rings")
-    ring = f2_polynomial_ring(syms_f + syms_g, ring_f.degrees + ring_g.degrees)
-
-    def transfer(e, offset, width):
-        terms = {}
-        for mono, c in e.terms.items():
-            full = [0] * width
-            full[offset:offset + len(mono)] = list(mono)
-            terms[tuple(full)] = c
-        return ring.element(terms)
-
-    width = len(ring.gens)
-    return (tuple(transfer(e, 0, width) for e in f)
-            + tuple(transfer(e, len(syms_f), width) for e in g))
 
 
 def join_scheme_obstruction(j, coeff="F2"):

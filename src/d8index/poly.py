@@ -16,9 +16,10 @@ subgroup orders.
 
 `contains_by_enumeration` is the independent brute-force oracle: it
 spans the slice in `RingElement` arithmetic (`graded_ideal_slice`) and
-hands the span to `span_contains_by_enumeration`, which enumerates
-every sum of multiples of the slice elements with its own bitplane
-addition and never touches the elimination code paths.  A caller that
+hands the span to `span_contains_by_enumeration`, which closes the
+sums of multiples of the slice elements under its own bitplane
+addition, until the target appears or the span is used up, and never
+touches the elimination code paths.  A caller that
 has already spanned an instance in ring arithmetic passes that span to
 `span_contains_by_enumeration` itself.
 """
@@ -201,23 +202,27 @@ def span_contains_by_enumeration(span, f):
     f is a nonzero homogeneous element of positive degree and `span` a
     list of elements of f's ring and degree, such as the spanning set
     `graded_ideal_slice` gives.  Builds the set of every sum of multiples
-    of the span elements, each packed vector v contributing its distinct
-    nonzero multiples among v, 2v, 3v (over F2 only v itself), and looks
-    the target up.
+    of the span elements, packed as bitplanes (lo, hi), one span vector v
+    at a time: each sum gains v's distinct nonzero multiples among v, 2v,
+    3v (over F2 only v itself).  The set is always the subgroup the
+    vectors so far generate, so a vector already in it adds nothing and
+    is skipped, and the closure stops as soon as the target is in it.
     """
     _common_ring(list(span) + [f])
     slice_ = f.ring.graded_slice(f.degree())
     target = element_vector(f, slice_)
     vectors = [element_vector(e, slice_) for e in span]
     mask4 = slice_.mask4
-
-    def plus(a, b):
-        return a[0] ^ b[0], (a[1] ^ b[1] ^ (a[0] & b[0])) & mask4
-
     sums = {(0, 0)}
     for v in vectors:
-        multiples = {v, (0, v[0] & mask4), plus(v, (0, v[0] & mask4))} - {(0, 0)}
-        sums |= {plus(s, m) for s in sums for m in multiples}
+        if v in sums:
+            continue
+        lo, hi = v
+        multiples = {v, (0, lo & mask4), (lo, (hi ^ lo) & mask4)} - {(0, 0)}
+        sums |= {(slo ^ mlo, (shi ^ mhi ^ (slo & mlo)) & mask4)
+                 for slo, shi in sums for mlo, mhi in multiples}
+        if target in sums:
+            return True
     return target in sums
 
 

@@ -74,11 +74,18 @@ class RingPresentation:
     monomial exponent tuple; any monomial divisible by it rewrites to
     (monomial/pattern) * replacement, where `replacement` maps monomials
     to integer coefficients.  Construction rejects a unit pattern, and a
-    replacement monomial of another degree than its pattern or divisible
-    by it, which would rewrite forever.  In a Z ring it also rejects a
-    replacement term c*m that the pattern's additive order o does not
-    kill (o*c not 0 modulo the order of m), judged from the order classes
-    alone, without rewriting.  Termination across rules is not checked;
+    replacement monomial of another degree than its pattern.  It also
+    rejects a rule set unless one lexicographic direction orients every
+    rule: every replacement monomial lex-above its pattern, or every one
+    lex-below.  Rewriting then moves each monomial strictly one way
+    within its degree, which holds finitely many monomials, so it
+    terminates.  The test is sufficient, not necessary: a terminating
+    rule set that neither direction orients is refused too.  A
+    replacement divisible by its pattern is the pattern itself (the
+    degrees agree) and is refused as unoriented.  In a Z ring
+    construction also rejects a replacement term c*m that the pattern's
+    additive order o does not kill (o*c not 0 modulo the order of m),
+    judged from the order classes alone, without rewriting.
     `check_confluence` tests confluence up to degree 12.
 
     Construction compiles what `normal_form` needs for every monomial:
@@ -123,11 +130,15 @@ class RingPresentation:
             for mono, c in rep:
                 if self.monomial_degree(mono) != self.monomial_degree(pat):
                     raise ValueError(f"relation {pat!r} -> {mono!r} changes degree")
-                if all(mono[i] >= p for i, p in support):
-                    raise ValueError(f"relation {pat!r} -> {mono!r} rewrites forever")
                 if order * c % self.monomial_order(mono):
                     raise ValueError(f"relation {pat!r} -> {mono!r}: order {order} "
                                      f"of the pattern does not kill {c}*{mono!r}")
+        # +1 for a replacement monomial lex-above its pattern, -1 below
+        directions = {(mono > pat) - (mono < pat)
+                      for _, pat, rep in self._rules for mono, _ in rep}
+        if 0 in directions or len(directions) > 1:
+            raise ValueError("no lexicographic direction orients every relation: "
+                             "rewriting may not terminate")
         self._symbols = {s: i for i, s in enumerate(self.gens)}
         # factors print in descending generator degree, ties by position
         self._print_order = sorted(range(len(self.gens)),
@@ -193,8 +204,8 @@ class RingPresentation:
         """Rewrite a raw {monomial: int} dict to normal form.
 
         The first rule whose pattern divides a monomial rewrites it, until
-        none does (each catalog rule strictly lowers a well-founded
-        measure, so this terminates); a ring without rules skips the loop.
+        none does (the rules are oriented one lexicographic way, so this
+        terminates); a ring without rules skips the loop.
         Then coefficients are reduced modulo each monomial's additive
         order: `& 1` in an F2 ring; in a Z ring `& 1` when an order-2
         generator divides the monomial, else `& 3`, and not at all at

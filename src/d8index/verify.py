@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from . import bounds, indexes
 from .poly import graded_ideal_slice, ideal_contains, span_contains_by_enumeration
-from .rings import CATALOG, H1_F2, YW_F2
+from .rings import CATALOG, H1_F2, RingElement, YW_F2
 
 __all__ = ["Check", "ORACLE_INSTANCES", "SUITE_NAMES", "run_suite",
            "random_homogeneous"]
@@ -143,15 +143,17 @@ def suite_indexes(max_degree=64):
 
 def random_homogeneous(ring, degree, rng, max_terms=3):
     """Random homogeneous element of the given degree, zero only when the
-    degree piece vanishes."""
+    degree piece vanishes.  The monomials come from `ring.monomials` and
+    are normal already, so one `normal_form` reduces the drawn
+    coefficients."""
     monos = ring.monomials(degree)
     if not monos:
         return ring.zero()
     count = rng.randint(1, min(max_terms, len(monos)))
     chosen = rng.sample(monos, count)
     hi = 1 if ring.coeff == "F2" else 3
-    return (ring.element({m: rng.randint(1, hi) for m in chosen})
-            or ring.element({chosen[0]: 1}))
+    terms = ring.normal_form({m: rng.randint(1, hi) for m in chosen})
+    return RingElement(ring, terms or {chosen[0]: 1})
 
 
 def _random_instance(ring, rng, max_degree, slice_cap):
@@ -171,12 +173,14 @@ def _random_instance(ring, rng, max_degree, slice_cap):
             gens.pop()
             slice_elems = graded_ideal_slice(gens, degree)
         if rng.random() < 0.5 and slice_elems:
-            f = ring.zero()
+            # f = sum of c * e, summed as raw terms and normalised once
+            terms = {}
             hi = 1 if ring.coeff == "F2" else 3
             for e in rng.sample(slice_elems, rng.randint(1, len(slice_elems))):
-                f = f + rng.randint(1, hi) * e
-            if not f:
-                f = slice_elems[0]
+                c = rng.randint(1, hi)
+                for mono, ec in e.terms.items():
+                    terms[mono] = terms.get(mono, 0) + c * ec
+            f = RingElement(ring, ring.normal_form(terms)) or slice_elems[0]
         else:
             f = random_homogeneous(ring, degree, rng)
         if f:

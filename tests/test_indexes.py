@@ -7,7 +7,7 @@ from d8index.indexes import (capital_pi_generating_function_holds,
                              capital_pi_reduces_to_pi,
                              full_index_restriction_images_hold,
                              index_h1_z_product, index_join,
-                             index_product_groups, index_product_spheres_f2,
+                             index_product_spheres_f2,
                              index_product_spheres_z, index_rep_sphere_z2k,
                              index_sphere_r4j_f2, index_sphere_r4j_z,
                              index_torus_z2k,
@@ -137,21 +137,6 @@ def test_join():
         index_join(index_sphere_r4j_z(1), index_sphere_r4j_z(1))
 
 
-def test_product_groups():
-    r1 = f2_polynomial_ring(["t1"])
-    r2 = f2_polynomial_ring(["t2"])
-    d = 5
-    f = (r1.gen("t1") ** (d + 1),)
-    g = (r2.gen("t2") ** (d + 1),)
-    prod = index_product_groups(f, g)
-    assert prod == index_torus_z2k([d, d])
-    assert [str(e) for e in prod] == ["t1^6", "t2^6"]
-    with pytest.raises(ValueError):
-        index_product_groups(f, index_sphere_r4j_z(1))
-    with pytest.raises(ValueError):
-        index_product_groups(f, f)  # name clash
-
-
 T1 = f2_polynomial_ring(["t1"])
 T2 = f2_polynomial_ring(["t2"])
 
@@ -168,8 +153,6 @@ INDEX_CONSTRUCTORS = {
     "torus_z2k": lambda: index_torus_z2k([1, 2, 0]),
     "rep_sphere_z2k": lambda: index_rep_sphere_z2k([(-1, 1), (1, -1)], 2),
     "join": lambda: index_join((D8.gen("w"),), index_sphere_r4j_f2(2)),
-    "product_groups": lambda: index_product_groups((T1.gen("t1") ** 2,),
-                                                   (T2.gen("t2") ** 3,)),
 }
 
 
@@ -183,7 +166,7 @@ def test_index_constructors_return_generator_tuples(name):
     assert len({g.ring for g in gens}) == 1
 
 
-@pytest.mark.parametrize("build", [index_join, index_product_groups])
+@pytest.mark.parametrize("build", [index_join])
 def test_constructions_reject_empty_and_mixed_rings(build):
     t1, t2 = T1.gen("t1"), T2.gen("t2")
     with pytest.raises(ValueError):
@@ -192,9 +175,8 @@ def test_constructions_reject_empty_and_mixed_rings(build):
         build((t1,), ())
     with pytest.raises(ValueError):
         build((t1, D8.gen("y")), (t2,))
-    if build is index_join:  # two factors of a join share their ring
-        with pytest.raises(ValueError):
-            build((t1,), (t2,))
+    with pytest.raises(ValueError):  # two factors of a join share their ring
+        build((t1,), (t2,))
 
 
 def test_h1_z_product_index():

@@ -50,7 +50,7 @@ FULL_TO_BOUND GradedSlice MOD2_REDUCTION RestrictionDiagram RingElement RingHom
 RingMismatchError RingPresentation YW_F2 Z_DIAGRAM admissible admissible_z
 bound_report capital_pi_poly check_reduction_cube contains_by_enumeration
 f2_polynomial_ring get_ring graded_ideal_slice hom_kernel_slice ideal_contains
-ideal_subset index_h1_z_product index_join index_product_groups
+ideal_subset index_h1_z_product index_join
 index_product_spheres_f2 index_product_spheres_z index_rep_sphere_z2k
 index_sphere_r4j_f2 index_sphere_r4j_z index_torus_z2k join_scheme_obstruction
 lift_bound_to_full lucas_binom_mod2 min_certified_d mvz_upper pi_in_d8 pi_poly
@@ -93,6 +93,40 @@ def test_slice_solvers_take_one_path_for_every_coefficient_ring():
     found = [hit for name in ("poly.py", "linalg.py")
              for hit in _coefficient_comparisons(SRC / name)]
     assert found == []
+
+
+def _names_reached(defs, name):
+    """Every name read by the function `name` of a module, and by each
+    module-level function of it that it reaches by name."""
+    seen, todo, names = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        used = {node.id for node in ast.walk(defs[fn]) if isinstance(node, ast.Name)}
+        names |= used
+        todo += [n for n in used if n in defs]
+    return names
+
+
+def test_enumeration_oracle_shares_only_the_encoder_with_the_deciders():
+    """The brute-force oracle stays independent of the elimination path:
+    `span_contains_by_enumeration` reads nothing `poly` imports from
+    `linalg`, and neither it nor `graded_ideal_slice` spans with
+    `ideal_slice_vectors`, directly or through another `poly` function."""
+    tree = ast.parse((SRC / "poly.py").read_text())
+    solver = {"linalg"} | {alias.asname or alias.name for node in tree.body
+                           if isinstance(node, ast.ImportFrom)
+                           and node.module == "linalg" for alias in node.names}
+    assert len(solver) > 1  # the guard reads what poly imports today
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    oracle = _names_reached(defs, "span_contains_by_enumeration")
+    assert "element_vector" in oracle
+    assert not oracle & solver
+    assert "ideal_slice_vectors" not in oracle
+    assert "ideal_slice_vectors" not in _names_reached(defs, "graded_ideal_slice")
 
 
 def test_readme_library_example_runs():

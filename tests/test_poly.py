@@ -1,10 +1,11 @@
 import itertools
 import random
+import zlib
 
 import pytest
 
 from d8index.linalg import z4_in_span
-from d8index.poly import (contains_by_enumeration, element_vector,
+from d8index.poly import (_common_ring, contains_by_enumeration, element_vector,
                           graded_ideal_slice, ideal_contains,
                           ideal_slice_vectors, ideal_subset,
                           slice_intersection_is_zero,
@@ -209,6 +210,59 @@ def test_enumeration_over_a_given_span():
                 assert (span_contains_by_enumeration(span, f)
                         == contains_by_enumeration(gens, f)
                         == ideal_contains(gens, f))
+
+
+def _reference_span_contains(span, f):
+    """`span_contains_by_enumeration` as it was before its closure skipped
+    covered vectors and stopped at the target: every vector's multiples
+    are added to every sum, and the target is looked up at the end."""
+    _common_ring(list(span) + [f])
+    slice_ = f.ring.graded_slice(f.degree())
+    target = element_vector(f, slice_)
+    vectors = [element_vector(e, slice_) for e in span]
+    mask4 = slice_.mask4
+
+    def plus(a, b):
+        return a[0] ^ b[0], (a[1] ^ b[1] ^ (a[0] & b[0])) & mask4
+
+    sums = {(0, 0)}
+    for v in vectors:
+        multiples = {v, (0, v[0] & mask4), plus(v, (0, v[0] & mask4))} - {(0, 0)}
+        sums |= {plus(s, m) for s in sums for m in multiples}
+    return target in sums
+
+
+@pytest.mark.parametrize("ring", CATALOG.values(), ids=lambda ring: ring.name)
+def test_enumeration_matches_the_full_closure(ring):
+    """Random spans, each with repeated vectors, vectors the earlier ones
+    already cover (c*e, sums of two) and zero vectors among them, against
+    member targets (sums of multiples of the span) and random targets,
+    over every catalog ring: in a Z ring with an order-2 generator the
+    slices mix order-2 and order-4 coordinates, or hold only order-2
+    ones."""
+    rng = random.Random(zlib.crc32(ring.name.encode()))
+    hi = 1 if ring.coeff == "F2" else 3
+    answers = []
+    for _ in range(60):
+        degree = rng.randint(1, 8)
+        if not ring.monomials(degree):
+            continue
+        base = [random_homogeneous(ring, degree, rng)
+                for _ in range(rng.randint(0, 3))]
+        span = list(base)
+        for _ in range(rng.randint(0, 4) if base else 0):
+            e, e2 = rng.choice(base), rng.choice(base)
+            span.append(rng.choice([e, rng.randint(0, hi) * e, e + e2]))
+        rng.shuffle(span)
+        member = ring.zero()
+        for e in span:
+            member = member + rng.randint(0, hi) * e
+        for f in (member, random_homogeneous(ring, degree, rng)):
+            if f:
+                expected = _reference_span_contains(span, f)
+                assert span_contains_by_enumeration(span, f) == expected
+                answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_torsion_membership():

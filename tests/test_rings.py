@@ -151,6 +151,7 @@ def test_generator_degrees_must_be_positive():
     ((2, 2), [((2, 0), {(1, 0): 1})]),            # replacement changes degree
     ((2, 2), [((1, 0), {(1, 0): 1})]),            # pattern divides replacement
     ((2, 4), [((2, 0), {(0, 1): 1})]),            # 2*u^2 = 0 but 2*v != 0
+    ((2, 2), [((2, 0), {(0, 1): 1}), ((0, 1), {(2, 0): 1})]),  # u^2 -> v -> u^2
 ])
 def test_bad_presentations_are_rejected_at_construction(orders, relations):
     """Only constructed, never rewritten: a malformed rule could make
@@ -158,6 +159,32 @@ def test_bad_presentations_are_rejected_at_construction(orders, relations):
     with pytest.raises(ValueError):
         RingPresentation("bad", "Z", ("u", "v"), (1, 2), orders=orders,
                          relations=relations)
+
+
+def test_rules_must_be_oriented_one_lexicographic_way():
+    """x^2 -> y^2 with y^2 -> x^2 rewrites x^2 forever, and so do x^2 ->
+    xy -> x^2 and a replacement equal to its pattern.  Construction
+    refuses them, and every rule set whose replacements move both up and
+    down in lex order, even one that terminates (the last: the test is
+    sufficient, not necessary).  They are constructed only, never
+    normalised.  Rule sets oriented one way are accepted, an empty
+    replacement counting for neither direction."""
+    def ring(relations):
+        return RingPresentation("cyc", "F2", ("x", "y"), (1, 1),
+                                relations=relations)
+
+    for relations in ([((2, 0), {(0, 2): 1}), ((0, 2), {(2, 0): 1})],
+                      [((2, 0), {(1, 1): 1}), ((1, 1), {(2, 0): 1})],
+                      [((2, 0), {(0, 2): 1, (2, 0): 1})],
+                      [((0, 2), {(1, 1): 1, (0, 2): 1})],
+                      [((2, 0), {(0, 2): 1}), ((0, 3), {(1, 2): 1})]):
+        with pytest.raises(ValueError, match="orients"):
+            ring(relations)
+    down = ring([((2, 0), {(1, 1): 1, (0, 2): 1}), ((1, 1), {(0, 2): 1})])
+    assert down.parse("x^2") == down.zero()
+    up = ring([((0, 2), {(1, 1): 1}), ((1, 1), {(2, 0): 1}), ((3, 0), {})])
+    assert up.parse("y^3") == up.zero()
+    assert up.parse("x*y") == up.parse("x^2")
 
 
 def test_rules_must_respect_torsion():

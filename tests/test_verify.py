@@ -75,6 +75,16 @@ def test_chain_check_runs_the_replay(monkeypatch):
 # in order, as recorded before the oracle reused the builder's span
 ORACLE_DIGEST = "432859f64b9793f6e101b601ba34c016d7482ffa29cc22649b0cc6d8dc59c444"
 
+# member instances (verdict True) among the 500 per catalog ring, as
+# recorded before the enumeration skipped covered vectors: agreement of
+# the two sides alone would not see a change to both
+ORACLE_MEMBERS = {
+    "D8_F2": 354, "D8_Z_FULL": 302, "D8_Z_BOUND": 328, "H1_F2": 383,
+    "H1_Z": 306, "H2_F2": 413, "H2_Z": 333, "H3_F2": 367, "H3_Z": 306,
+    "K1_F2": 500, "K2_F2": 500, "K3_F2": 500, "K4_F2": 500, "K5_F2": 500,
+    "K3_Z": 351, "Z2xZ2_F2": 374, "Z2xZ2_Z": 307, "Z2_F2": 500, "Z2_Z": 353,
+}
+
 
 @pytest.fixture(scope="module")
 def oracle_run():
@@ -82,7 +92,7 @@ def oracle_run():
     counts the `graded_ideal_slice` calls made inside and outside the
     instance builder, wherever the callers look the name up."""
     record = {"instances": [], "inside": 0, "outside": 0, "spans": [],
-              "reused": []}
+              "reused": [], "members": {}}
     building = [False]
     span_of = verify.graded_ideal_slice
     build, decide = verify._random_instance, verify.ideal_contains
@@ -107,7 +117,10 @@ def oracle_run():
 
     def checked_enumeration(span, f):
         record["reused"].append(span is record["spans"][-1])
-        return enumerate_span(span, f)
+        verdict = enumerate_span(span, f)
+        members = record["members"]
+        members[f.ring.name] = members.get(f.ring.name, 0) + verdict
+        return verdict
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (verify, poly):
@@ -127,6 +140,13 @@ def test_oracle_checks_the_recorded_instances(oracle_run):
     for gens, f in instances:
         digest.update(f"{(gens, f)}\n".encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_oracle_verdicts_are_the_recorded_ones(oracle_run):
+    """Both sides agree (the checks pass) and the enumeration finds the
+    recorded number of members in each ring."""
+    assert all(check.ok for check in oracle_run["checks"])
+    assert oracle_run["members"] == ORACLE_MEMBERS
 
 
 def test_oracle_spans_each_instance_once(oracle_run):
