@@ -19,18 +19,16 @@ _HOMES = {
     "bounds": "AdmissibilityVerdict BoundReport admissible admissible_z bound_report "
               "min_certified_d mvz_upper ramos_lower verify_inclusion_power_case "
               "verify_inclusion_step verify_membership_transfer",
-    "homs": "F2_DIAGRAM FULL_TO_BOUND MOD2_REDUCTION RestrictionDiagram RingHom "
-            "Z_DIAGRAM check_reduction_cube hom_kernel_slice lift_bound_to_full "
-            "restriction",
+    "homs": "F2_DIAGRAM MOD2_REDUCTION RestrictionDiagram RingHom Z_DIAGRAM "
+            "check_reduction_cube lift_bound_to_full restriction",
     "indexes": "capital_pi_poly index_h1_z_product index_join "
                "index_product_spheres_f2 index_product_spheres_z "
                "index_rep_sphere_z2k index_sphere_r4j_f2 index_sphere_r4j_z "
-               "index_torus_z2k join_scheme_obstruction lucas_binom_mod2 pi_in_d8 "
-               "pi_poly rho_poly",
+               "join_scheme_obstruction lucas_binom_mod2 pi_in_d8 pi_poly rho_poly",
     "poly": "GradedSlice contains_by_enumeration graded_ideal_slice ideal_contains "
             "ideal_subset slice_intersection_is_zero",
     "rings": "CATALOG ElementParseError RingElement RingMismatchError "
-             "RingPresentation YW_F2 f2_polynomial_ring get_ring",
+             "RingPresentation YW_F2 get_ring",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items()
             for name in names.split()}

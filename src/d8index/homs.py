@@ -15,15 +15,8 @@ The generator images encode the subgroup lattice data of D8: which
 generators die on restriction, the K4/K5 images fixed up to the
 symmetric swap, and the reduction images X -> x^2, Y -> y^2,
 M -> w(x+y), W -> w^2.
-
-`hom_kernel_slice` packs the images of a domain slice's monomials over
-the codomain slice and reads the kernel off one Howell basis whose
-tracking coordinates carry the domain's own orders, so coefficients over
-an F2 domain come out mod 2 with no separate reduction step.
 """
 
-from .linalg import z4_kernel
-from .poly import element_vector, vector_element
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
                     H2_Z, H3_F2, H3_Z, K1_F2, K2_F2, K3_F2, K3_Z, K4_F2,
                     K5_F2, RingElement, RingMismatchError, Z2xZ2_F2,
@@ -31,12 +24,10 @@ from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, H1_Z, H2_F2,
 
 __all__ = [
     "RingHom",
-    "hom_kernel_slice",
     "RestrictionDiagram",
     "F2_DIAGRAM",
     "Z_DIAGRAM",
     "MOD2_REDUCTION",
-    "FULL_TO_BOUND",
     "lift_bound_to_full",
     "restriction",
     "check_reduction_cube",
@@ -120,20 +111,6 @@ class RingHom:
 
     def __repr__(self):
         return f"RingHom({self.name})"
-
-
-def hom_kernel_slice(hom, degree):
-    """Generators of the kernel of `hom` on the degree slice."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    dom, cod = hom.domain, hom.codomain
-    dslice = dom.graded_slice(degree)
-    cslice = cod.graded_slice(degree)
-    # column i is the image of the monomial on bit i of the domain slice
-    images = [element_vector(hom._apply_monomial(m), cslice)
-              for m in reversed(dslice.basis)]
-    return [vector_element(v, dslice, dom)
-            for v in z4_kernel(images, cslice.mask4, dslice.mask4)]
 
 
 class RestrictionDiagram:
@@ -248,13 +225,10 @@ MOD2_REDUCTION = {
                      "c_Z2xZ2"),
 }
 
-# quotient identifying the Z-coefficient D8 ring with the bound ring
-FULL_TO_BOUND = RingHom(D8_Z_FULL, D8_Z_BOUND,
-                        {"X": 0, "Y": "Y", "M": "M", "W": "W"}, "quot_bound")
-
 
 def lift_bound_to_full(element):
-    """Section of the bound-ring quotient: Y -> Y, M -> M, W -> W.
+    """Section of the quotient D8_Z_FULL -> D8_Z_BOUND that kills X:
+    Y -> Y, M -> M, W -> W.
 
     A substitution on normal forms, not a ring map (it does not respect
     M^2 = W*Y); exact here because bound-ring normal monomials map to

@@ -1,4 +1,4 @@
-"""Fadell-Husseini index ideals of the spaces acted on by D8 and (Z2)^k.
+"""Fadell-Husseini index ideals of the spaces acted on by D8 and (Z2)^2.
 
 The ideal of a G-space is the kernel of H*(BG;R) -> H*_G(X;R); this
 catalog stores each one that enters the two-hyperplane mass partition
@@ -22,7 +22,7 @@ apply a homomorphism import `homs` in their bodies: a verdict builds none.
 
 from .poly import slice_intersection_is_zero
 from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, Z2xZ2_F2,
-                    Z2xZ2_Z, f2_polynomial_ring)
+                    Z2xZ2_Z)
 
 __all__ = [
     "lucas_binom_mod2",
@@ -35,7 +35,6 @@ __all__ = [
     "index_product_spheres_f2",
     "index_product_spheres_z",
     "index_rep_sphere_z2k",
-    "index_torus_z2k",
     "index_join",
     "index_h1_z_product",
     "join_scheme_obstruction",
@@ -150,26 +149,22 @@ def index_product_spheres_z(d):
     return (capital_pi_poly((d + 1) // 2), capital_pi_poly((d + 3) // 2))
 
 
-# ---------------------------------------------------------- (Z2)^k indexes
+# ---------------------------------------------------------- (Z2)^2 indexes
 
-def _tk_ring(k):
-    return Z2xZ2_F2 if k == 2 else f2_polynomial_ring(f"t{i+1}" for i in range(k))
-
-
-def index_rep_sphere_z2k(sign_vectors, k):
-    """Mod-2 (Z2)^k index of the sphere of a sum of one-dimensional
-    representations, each given by its +-1 vector: the principal ideal
-    generated by the product of the linear forms sum_i abar_i t_i, where
-    abar_i = 1 exactly for the -1 entries."""
+def index_rep_sphere_z2k(sign_vectors):
+    """Mod-2 (Z2)^2 index of the sphere of a sum of one-dimensional
+    representations, each given by its +-1 vector of length 2: the
+    principal ideal of Z2xZ2_F2 generated by the product of the linear
+    forms abar_1*t1 + abar_2*t2, where abar_i = 1 exactly for the -1
+    entries."""
     if not sign_vectors:
         raise ValueError("at least one sign vector required")
-    ring = _tk_ring(k)
-    ts = [ring.gen(f"t{i+1}") for i in range(k)]
-    product = ring.one()
+    ts = (Z2xZ2_F2.gen("t1"), Z2xZ2_F2.gen("t2"))
+    product = Z2xZ2_F2.one()
     for vec in sign_vectors:
-        if len(vec) != k:
-            raise ValueError(f"sign vector {vec} has length != {k}")
-        form = ring.zero()
+        if len(vec) != 2:
+            raise ValueError(f"sign vector {vec} has length != 2")
+        form = Z2xZ2_F2.zero()
         for entry, t in zip(vec, ts):
             if entry == -1:
                 form = form + t
@@ -177,16 +172,6 @@ def index_rep_sphere_z2k(sign_vectors, k):
                 raise ValueError(f"sign entries must be +-1, got {entry}")
         product = product * form  # an all-+1 vector contributes the factor 0
     return (product,)
-
-
-def index_torus_z2k(ns):
-    """Index of S^{n_1} x ... x S^{n_k} under the product antipodal
-    actions: <t_1^{n_1+1}, ..., t_k^{n_k+1}>."""
-    ns = list(ns)
-    if not ns or any(n < 0 for n in ns):
-        raise ValueError("sphere dimensions must be >= 0")
-    ring = _tk_ring(len(ns))
-    return tuple(ring.gen(f"t{i+1}") ** (n + 1) for i, n in enumerate(ns))
 
 
 def index_h1_z_product(n):
@@ -331,7 +316,7 @@ def two_plane_sphere_index_matches_h1():
     from .homs import RingHom, restriction
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
     rename = RingHom(Z2xZ2_F2, H1_F2, {"t1": "a", "t2": "a+b"})
-    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)], 2)
+    rep = index_rep_sphere_z2k([(-1, 1), (1, -1)])
     return (rep == (Z2xZ2_F2.parse("t1*t2"),)
             and restriction("D8", "H1", "F2")(D8_F2.gen("w")) == a * (a + b)
             and rename(rep[0]) == a * (a + b))

@@ -9,9 +9,8 @@ are bitwise: lo = a.lo ^ b.lo, hi = (a.hi ^ b.hi ^ carry) & mask4.
 Since 2 is a zero divisor in Z/4, solvability uses a Howell basis of the
 span (Howell, Lin. Multilin. Alg. 19, 1986; Storjohann-Mulders, ESA
 1998): a triangular basis against which every element of the span
-reduces to zero.  Membership, the order of the span and, through
-tracking coordinates, the kernel of a column matrix are all read off
-it.  With `mask4 == 0` it is plain F2 elimination on bitmasks.
+reduces to zero.  Membership and the order of the span are both read
+off it.  With `mask4 == 0` it is plain F2 elimination on bitmasks.
 Every entry point takes packed vectors; callers pack their own.
 """
 
@@ -19,7 +18,6 @@ __all__ = [
     "howell_basis",
     "z4_in_span",
     "z4_log2_order",
-    "z4_kernel",
 ]
 
 
@@ -82,23 +80,3 @@ def z4_log2_order(vectors, mask4):
     for a pivot of order 2."""
     return sum(2 if (lo & mask4) >> k & 1 else 1
                for k, (lo, _) in howell_basis(vectors, mask4).items())
-
-
-def z4_kernel(columns, mask4, domain_mask4):
-    """Generators of {x : sum_i x_i*columns[i] = 0}, packed over the
-    domain (+) Z/o_i, whose order-4 coordinates are `domain_mask4`.
-
-    Column i is the image of e_i; a column for an order-2 domain
-    coordinate must be killed by 2.  Each column gets tracking bits below
-    its own coordinates; Howell rows whose leading coordinate lies in
-    the tracking block record vanishing combinations, and by the Howell
-    property they generate every such combination.  Columns go in from
-    the top coordinate down, and the kernel rows come out in descending
-    order of their leading coordinate.
-    """
-    p = len(columns)
-    mask = mask4 << p | domain_mask4
-    rows = [(lo << p | 1 << i, hi << p) for i, (lo, hi) in enumerate(columns)]
-    basis = howell_basis(reversed(rows), mask)
-    return [basis[k] for k in sorted(basis, reverse=True) if k < p]
-

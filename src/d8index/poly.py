@@ -21,7 +21,8 @@ sums of multiples of the slice elements under its own bitplane
 addition, until the target appears or the span is used up, and never
 touches the elimination code paths.  A caller that
 has already spanned an instance in ring arithmetic passes that span to
-`span_contains_by_enumeration` itself.
+`span_contains_by_enumeration` itself, which rejects a span element of
+another ring or degree as the deciders reject bad input.
 """
 
 from operator import add, lshift
@@ -39,7 +40,6 @@ __all__ = [
     "span_contains_by_enumeration",
     "slice_intersection_is_zero",
     "element_vector",
-    "vector_element",
 ]
 
 
@@ -144,13 +144,6 @@ def element_vector(e, slice_):
     return lo, hi & slice_.mask4
 
 
-def vector_element(vector, slice_, ring):
-    """The element of `ring` that `element_vector` packs as `vector`."""
-    lo, hi = vector
-    return ring.element({m: (lo >> i & 1) + 2 * (hi >> i & 1)
-                         for m, i in slice_.index.items()})
-
-
 def _membership_instance(gens, f):
     """Shared prelude of the membership deciders: checks the inputs and
     encodes the target f over the slice of f.  Returns (slice, target
@@ -201,17 +194,22 @@ def span_contains_by_enumeration(span, f):
 
     f is a nonzero homogeneous element of positive degree and `span` a
     list of elements of f's ring and degree, such as the spanning set
-    `graded_ideal_slice` gives.  Builds the set of every sum of multiples
-    of the span elements, packed as bitplanes (lo, hi), one span vector v
-    at a time: each sum gains v's distinct nonzero multiples among v, 2v,
-    3v (over F2 only v itself).  The set is always the subgroup the
-    vectors so far generate, so a vector already in it adds nothing and
-    is skipped, and the closure stops as soon as the target is in it.
+    `graded_ideal_slice` gives; a span element of another ring raises
+    RingMismatchError, one of another degree ValueError.  Builds the set
+    of every sum of multiples of the span elements, packed as bitplanes
+    (lo, hi), one span vector v at a time: each sum gains v's distinct
+    nonzero multiples among v, 2v, 3v (over F2 only v itself).  The set
+    is always the subgroup the vectors so far generate, so a vector
+    already in it adds nothing and is skipped, and the closure stops as
+    soon as the target is in it.
     """
     _common_ring(list(span) + [f])
     slice_ = f.ring.graded_slice(f.degree())
     target = element_vector(f, slice_)
-    vectors = [element_vector(e, slice_) for e in span]
+    try:
+        vectors = [element_vector(e, slice_) for e in span]
+    except KeyError:  # a monomial of another degree has no bit
+        raise ValueError(f"span element not of degree {slice_.degree}") from None
     mask4 = slice_.mask4
     sums = {(0, 0)}
     for v in vectors:

@@ -10,7 +10,6 @@ from d8index.indexes import (capital_pi_generating_function_holds,
                              index_product_spheres_f2,
                              index_product_spheres_z, index_rep_sphere_z2k,
                              index_sphere_r4j_f2, index_sphere_r4j_z,
-                             index_torus_z2k,
                              join_gives_sphere_index, join_scheme_obstruction,
                              join_scheme_vanishes,
                              lucas_binom_mod2, pi_in_d8, pi_poly,
@@ -19,7 +18,7 @@ from d8index.indexes import (capital_pi_generating_function_holds,
                              rho_recurrence_holds,
                              two_plane_sphere_index_matches_h1)
 from d8index.poly import ideal_subset
-from d8index.rings import RingElement, YW_F2, f2_polynomial_ring, get_ring
+from d8index.rings import RingElement, YW_F2, get_ring
 
 D8 = get_ring("D8_F2")
 BOUND = get_ring("D8_Z_BOUND")
@@ -106,25 +105,15 @@ def test_product_spheres_z():
 
 def test_rep_sphere_index():
     ring = get_ring("Z2xZ2_F2")
-    assert index_rep_sphere_z2k([(-1, 1)], 2) == (ring.gen("t1"),)
-    assert index_rep_sphere_z2k([(-1, -1)], 2) == (ring.parse("t1+t2"),)
-    r4 = index_rep_sphere_z2k([(-1, 1), (1, -1), (-1, -1)], 2)
+    assert index_rep_sphere_z2k([(-1, 1)]) == (ring.gen("t1"),)
+    assert index_rep_sphere_z2k([(-1, -1)]) == (ring.parse("t1+t2"),)
+    r4 = index_rep_sphere_z2k([(-1, 1), (1, -1), (-1, -1)])
     assert r4 == (ring.parse("t1^2*t2+t1*t2^2"),)
     # a trivial summand kills the whole index
-    assert index_rep_sphere_z2k([(1, 1), (-1, 1)], 2) == (ring.zero(),)
-    with pytest.raises(ValueError):
-        index_rep_sphere_z2k([(-1,)], 2)
-    with pytest.raises(ValueError):
-        index_rep_sphere_z2k([], 2)
-
-
-def test_torus_index():
-    ring2 = get_ring("Z2xZ2_F2")
-    d = 4
-    assert index_torus_z2k([d, d]) == \
-        (ring2.gen("t1") ** (d + 1), ring2.gen("t2") ** (d + 1))
-    assert index_torus_z2k([0]) == (f2_polynomial_ring(["t1"]).gen("t1"),)
-    assert index_torus_z2k([1, 2]) == (ring2.parse("t1^2"), ring2.parse("t2^3"))
+    assert index_rep_sphere_z2k([(1, 1), (-1, 1)]) == (ring.zero(),)
+    for bad in ([(-1,)], [(-1, 1, 1)], [(-1, 0)], [(1, 2)], []):
+        with pytest.raises(ValueError):
+            index_rep_sphere_z2k(bad)
 
 
 def test_join():
@@ -137,8 +126,8 @@ def test_join():
         index_join(index_sphere_r4j_z(1), index_sphere_r4j_z(1))
 
 
-T1 = f2_polynomial_ring(["t1"])
-T2 = f2_polynomial_ring(["t2"])
+T1 = get_ring("K1_F2")
+T2 = get_ring("K2_F2")
 
 INDEX_CONSTRUCTORS = {
     "sphere_r4j_f2": lambda: index_sphere_r4j_f2(3),
@@ -150,8 +139,7 @@ INDEX_CONSTRUCTORS = {
     "product_spheres_z_odd": lambda: index_product_spheres_z(5),
     "h1_z_product_even": lambda: index_h1_z_product(2),
     "h1_z_product_odd": lambda: index_h1_z_product(3),
-    "torus_z2k": lambda: index_torus_z2k([1, 2, 0]),
-    "rep_sphere_z2k": lambda: index_rep_sphere_z2k([(-1, 1), (1, -1)], 2),
+    "rep_sphere_z2k": lambda: index_rep_sphere_z2k([(-1, 1), (1, -1)]),
     "join": lambda: index_join((D8.gen("w"),), index_sphere_r4j_f2(2)),
 }
 

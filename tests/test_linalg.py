@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from d8index.linalg import howell_basis, z4_in_span, z4_kernel, z4_log2_order
+from d8index.linalg import howell_basis, z4_in_span, z4_log2_order
 
 
 def _pack(values):
@@ -86,42 +86,6 @@ def test_howell_form_pivot_structure():
     assert _unpack(basis[0], 2) == (2, 0)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_z4_kernel_vectors_annihilate(seed):
-    rng = random.Random(200 + seed)
-    width = rng.randint(1, 4)
-    columns = [tuple(rng.randrange(4) for _ in range(width))
-               for _ in range(rng.randint(1, 4))]
-    kernel = z4_kernel([_pack(c) for c in columns], _z4_mask(width),
-                       _z4_mask(len(columns)))
-    for ker in kernel:
-        out = [0] * width
-        for c, col in zip(_unpack(ker, len(columns)), columns):
-            out = [(a + c * b) % 4 for a, b in zip(out, col)]
-        assert not any(out)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_z4_kernel_complete_on_small_instances(seed):
-    rng = random.Random(300 + seed)
-    width = rng.randint(1, 3)
-    ncols = rng.randint(1, 5)
-    columns = [tuple(rng.randrange(4) for _ in range(width))
-               for _ in range(ncols)]
-    brute = set()
-    for mask in range(4 ** ncols):
-        coeffs = [(mask // 4 ** i) % 4 for i in range(ncols)]
-        out = [0] * width
-        for c, col in zip(coeffs, columns):
-            out = [(a + c * b) % 4 for a, b in zip(out, col)]
-        if not any(out):
-            brute.add(tuple(coeffs))
-    kernel = z4_kernel([_pack(c) for c in columns], _z4_mask(width),
-                       _z4_mask(ncols))
-    generated = _brute_span([_unpack(k, ncols) for k in kernel], [4] * ncols)
-    assert generated == brute
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_z4_log2_order_matches_span_size(seed):
     rng = random.Random(400 + seed)
@@ -138,8 +102,8 @@ def test_gf2_span_and_nullspace():
     assert z4_in_span(vectors, (0b110, 0), 0)
     assert not z4_in_span(vectors, (0b111, 0), 0)
     assert howell_basis(vectors, 0) == {1: (0b011, 0), 2: (0b101, 0)}
-    # the F2 nullspace, with order-2 tracking coordinates
-    assert z4_kernel(vectors, 0, 0) == [(0b111, 0)]
+    # the dependent third vector leaves the span of order 2^2
+    assert z4_log2_order(vectors, 0) == 2
 
 
 def _mixed_instance(rng, max_width):
@@ -150,7 +114,7 @@ def _mixed_instance(rng, max_width):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_mixed_orders_match_brute_force(seed):
-    """Membership, order and kernel over (+) Z/o_i, o_i in {2, 4}."""
+    """Membership and order over (+) Z/o_i, o_i in {2, 4}."""
     rng = random.Random(500 + seed)
     orders, mask4 = _mixed_instance(rng, 4)
     vectors = [tuple(rng.randrange(o) for o in orders)
@@ -160,22 +124,3 @@ def test_mixed_orders_match_brute_force(seed):
     assert 2 ** z4_log2_order(packed, mask4) == len(span)
     for target in itertools.product(*(range(o) for o in orders)):
         assert z4_in_span(packed, _pack(target), mask4) == (target in span)
-
-    # kernel of a valid map (+) Z/p_j -> (+) Z/o_i: a column for an
-    # order-2 source coordinate is killed by 2
-    sources, source_mask4 = _mixed_instance(rng, 4)
-    columns = []
-    for p in sources:
-        column = tuple(rng.randrange(o) for o in orders)
-        if p == 2:
-            column = tuple(c if o == 2 else c & 2 for c, o in zip(column, orders))
-        columns.append(column)
-    dead = set()
-    for x in itertools.product(*(range(p) for p in sources)):
-        image = [sum(c * col[i] for c, col in zip(x, columns)) % o
-                 for i, o in enumerate(orders)]
-        if not any(image):
-            dead.add(x)
-    kernel = z4_kernel([_pack(c) for c in columns], mask4, source_mask4)
-    assert all(ker[1] & ~source_mask4 == 0 for ker in kernel)
-    assert _brute_span([_unpack(k, len(sources)) for k in kernel], sources) == dead

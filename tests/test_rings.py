@@ -4,8 +4,9 @@ import zlib
 
 import pytest
 
-from d8index.rings import (CATALOG, ElementParseError, RingMismatchError,
-                           RingPresentation, YW_F2, f2_polynomial_ring,
+from d8index.bounds import bound_report
+from d8index.rings import (CATALOG, ElementParseError, GradedSlice,
+                           RingMismatchError, RingPresentation, YW_F2,
                            get_ring)
 
 ALL_RING_IDS = [
@@ -104,7 +105,8 @@ def test_normal_form_idempotent(name):
         assert ring.normal_form(once) == once
 
 
-ENUMERATED_RINGS = {**CATALOG, "YW_F2": YW_F2, "F2[]": f2_polynomial_ring([])}
+ENUMERATED_RINGS = {**CATALOG, "YW_F2": YW_F2,
+                    "F2[]": RingPresentation("F2[]", "F2", (), ())}
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED_RINGS))
@@ -135,7 +137,7 @@ def test_staircase_matches_filtered_exponents_at_large_degree(name, n):
 def test_generator_degrees_must_be_positive():
     for degrees in ([0], [-1], [1.0]):
         with pytest.raises(ValueError):
-            f2_polynomial_ring(["t"], degrees)
+            RingPresentation("F2[t]", "F2", ("t",), degrees)
 
 
 @pytest.mark.parametrize("orders, relations", [
@@ -347,16 +349,34 @@ def test_graded_slice_orders():
 
 
 def test_graded_slice_is_reused_at_one_degree():
-    """The two most recently used slices are returned again; a third
-    degree drops the older one."""
+    """The most recently used slice is returned again for its degree;
+    another degree replaces it."""
     ring = get_ring("D8_Z_FULL")
-    assert ring.graded_slice(9) is ring.graded_slice(9)
-    assert ring.graded_slice(8) is not ring.graded_slice(9)
-    s8, s9 = ring.graded_slice(8), ring.graded_slice(9)
-    assert ring.graded_slice(8) is s8 and ring.graded_slice(9) is s9
-    s10 = ring.graded_slice(10)
-    assert ring.graded_slice(9) is s9 and ring.graded_slice(10) is s10
-    assert ring.graded_slice(8) is not s8
+    s9 = ring.graded_slice(9)
+    assert ring.graded_slice(9) is s9
+    s8 = ring.graded_slice(8)
+    assert s8.degree == 8 and ring.graded_slice(8) is s8
+    assert ring.graded_slice(9) is not s9
+    assert ring.graded_slice(9).basis == s9.basis
+
+
+def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
+    """One slot per ring builds no more slices than two did: `F2_D8` and
+    `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2 and then 3j+3
+    at odd j, and the next, even, j finds 3j+3 in the slot."""
+    for ring in (*CATALOG.values(), YW_F2):
+        monkeypatch.setattr(ring, "_slice", None)
+    built = []
+    init = GradedSlice.__init__
+
+    def counting_init(self, degree, basis, orders):
+        built.append(degree)
+        init(self, degree, basis, orders)
+
+    monkeypatch.setattr(GradedSlice, "__init__", counting_init)
+    for j in range(1, 33):
+        bound_report(j)
+    assert len(built) == 96
 
 
 def test_parse_and_print_round_trip():
