@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "bounds": "AdmissibilityVerdict BoundReport admissible admissible_z bound_report "
               "min_certified_d mvz_upper ramos_lower verify_inclusion_power_case "
-              "verify_inclusion_step verify_membership_transfer",
+              "verify_inclusion_steps verify_membership_transfer",
     "homs": "F2_DIAGRAM MOD2_REDUCTION RestrictionDiagram RingHom Z_DIAGRAM "
             "check_reduction_cube lift_bound_to_full restriction",
     "indexes": "capital_pi_poly index_h1_z_product index_join "

@@ -57,7 +57,7 @@ __all__ = [
     "expected_min_d",
     "bound_report",
     "verify_inclusion_power_case",
-    "verify_inclusion_step",
+    "verify_inclusion_steps",
     "verify_membership_transfer",
 ]
 
@@ -328,13 +328,25 @@ def verify_inclusion_power_case(q):
                         index_product_spheres_z(2 ** (q + 1) - 1))
 
 
-def verify_inclusion_step(j, d):
-    """Check the step instance: A_j in B_d implies A_{j+1} in B_{d+1}."""
-    _check_positive(j=j, d=d)
-    if not ideal_subset(index_sphere_r4j_z(j), index_product_spheres_z(d)):
-        return True
-    return ideal_subset(index_sphere_r4j_z(j + 1),
-                        index_product_spheres_z(d + 1))
+def verify_inclusion_steps(j_top, d_top):
+    """Check every step instance with j <= j_top and d <= d_top: A_j in
+    B_d implies A_(j+1) in B_(d+1).
+
+    Each inclusion A_j in B_d with j <= j_top + 1 and d <= d_top + 1 is
+    decided once, one generator of A_j at a time across every d, so all
+    the verdicts at one generator's degree share one graded slice.  As
+    in `ideal_subset`, a generator is tested against B_d only while the
+    generators before it lie in B_d."""
+    _check_positive(j_top=j_top, d_top=d_top)
+    b = [index_product_spheres_z(d) for d in range(1, d_top + 2)]
+    inside = []  # inside[j - 1][d - 1]: A_j in B_d
+    for j in range(1, j_top + 2):
+        row = [True] * len(b)
+        for g in index_sphere_r4j_z(j):
+            row = [ok and ideal_contains(b_d, g) for ok, b_d in zip(row, b)]
+        inside.append(row)
+    return all(inside[i + 1][k + 1] or not inside[i][k]
+               for i in range(j_top) for k in range(d_top))
 
 
 def verify_membership_transfer(d, j):

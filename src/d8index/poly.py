@@ -44,10 +44,14 @@ __all__ = [
 
 
 def _common_ring(elems):
-    rings = {e.ring for e in elems}
-    if len(rings) > 1:
-        raise RingMismatchError("elements from different rings")
-    return rings.pop() if rings else None
+    """The ring of a sequence of elements, None when it is empty; raises
+    RingMismatchError when two differ.  Elements almost always share one
+    ring object, so identity is tested before structural equality."""
+    ring = elems[0].ring if elems else None
+    for e in elems:
+        if e.ring is not ring and e.ring != ring:
+            raise RingMismatchError("elements from different rings")
+    return ring
 
 
 def graded_ideal_slice(gens, degree):
@@ -192,19 +196,27 @@ def contains_by_enumeration(gens, f):
 def span_contains_by_enumeration(span, f):
     """True iff f is a sum of multiples of the elements of `span`.
 
-    f is a nonzero homogeneous element of positive degree and `span` a
-    list of elements of f's ring and degree, such as the spanning set
-    `graded_ideal_slice` gives; a span element of another ring raises
-    RingMismatchError, one of another degree ValueError.  Builds the set
-    of every sum of multiples of the span elements, packed as bitplanes
-    (lo, hi), one span vector v at a time: each sum gains v's distinct
-    nonzero multiples among v, 2v, 3v (over F2 only v itself).  The set
-    is always the subgroup the vectors so far generate, so a vector
-    already in it adds nothing and is skipped, and the closure stops as
-    soon as the target is in it.
+    f is a homogeneous element and `span` a list of elements of f's ring
+    and degree, such as the spanning set `graded_ideal_slice` gives; a
+    span element of another ring raises RingMismatchError, one of
+    another degree ValueError.  As in the deciders, f = 0 is always a
+    sum, and a nonzero f of degree 0 raises ValueError: H^0 of a Z ring
+    is Z, not a finite slice.
+
+    Builds the set of every sum of multiples of the span elements,
+    packed as bitplanes (lo, hi), one span vector v at a time: each sum
+    gains v's distinct nonzero multiples among v, 2v, 3v (over F2 only v
+    itself).  The set is always the subgroup the vectors so far
+    generate, so a vector already in it adds nothing and is skipped,
+    and the closure stops as soon as the target is in it.
     """
     _common_ring(list(span) + [f])
-    slice_ = f.ring.graded_slice(f.degree())
+    if not f:
+        return True
+    degree = f.degree()
+    if degree == 0:
+        raise ValueError("membership is defined for positive-degree elements")
+    slice_ = f.ring.graded_slice(degree)
     target = element_vector(f, slice_)
     try:
         vectors = [element_vector(e, slice_) for e in span]

@@ -10,11 +10,11 @@ from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict,
                             criterion_ideal, criterion_targets, default_scan_cap,
                             expected_min_d, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
-                            verify_inclusion_step, verify_membership_transfer)
+                            verify_inclusion_steps, verify_membership_transfer)
 from d8index.homs import RingHom
 from d8index.indexes import (index_product_spheres_z, index_sphere_r4j_z,
                              pi_poly)
-from d8index.poly import ideal_contains
+from d8index.poly import ideal_contains, ideal_subset
 from d8index.rings import YW_F2, get_ring
 from d8index.verify import Check
 
@@ -337,11 +337,63 @@ def test_inclusion_power_case():
         verify_inclusion_power_case(0)
 
 
-def test_inclusion_step_examples():
-    assert verify_inclusion_step(2, 3)
-    assert verify_inclusion_step(4, 7)
-    # vacuous case: A_1 is not inside B_3
-    assert verify_inclusion_step(1, 3)
+def _inclusion_step(j, d):
+    """One step instance, decided on its own: A_j in B_d implies
+    A_(j+1) in B_(d+1)."""
+    if not ideal_subset(index_sphere_r4j_z(j), index_product_spheres_z(d)):
+        return True
+    return ideal_subset(index_sphere_r4j_z(j + 1), index_product_spheres_z(d + 1))
+
+
+def test_inclusion_step_examples(monkeypatch):
+    """`verify_inclusion_steps(12, 24)` decides every inclusion A_j in B_d
+    as `ideal_subset` does on its own, so each step reads as
+    `_inclusion_step` does: the memberships it asks for are recorded and
+    replayed pair by pair."""
+    decided = {}
+
+    def recorded(gens, f):
+        decided[tuple(gens), f] = verdict = ideal_contains(gens, f)
+        return verdict
+
+    monkeypatch.setattr(bounds, "ideal_contains", recorded)
+    assert verify_inclusion_steps(12, 24)
+
+    def inside(j, d):
+        b = index_product_spheres_z(d)
+        return all(decided[b, g] for g in index_sphere_r4j_z(j))
+
+    for j in range(1, 14):
+        for d in range(1, 26):
+            assert inside(j, d) == ideal_subset(index_sphere_r4j_z(j),
+                                                index_product_spheres_z(d)), (j, d)
+    for j in range(1, 13):
+        for d in range(1, 25):
+            assert _inclusion_step(j, d) == (not inside(j, d)
+                                             or inside(j + 1, d + 1)), (j, d)
+    assert not inside(1, 3)  # the step (1, 3) is vacuous
+    assert inside(2, 3) and inside(3, 4)
+    assert inside(4, 7) and inside(5, 8)
+
+
+def test_inclusion_steps_fail_on_a_broken_step(monkeypatch):
+    """Shrinking B_8 to a degree-200 principal ideal breaks the step
+    (4, 7): A_4 lies in B_7, A_5 not in the shrunk B_8."""
+    b_of = bounds.index_product_spheres_z
+
+    def broken(d):
+        return (BOUND.parse("W^50"),) if d == 8 else b_of(d)
+
+    monkeypatch.setattr(bounds, "index_product_spheres_z", broken)
+    assert not verify_inclusion_steps(4, 7)
+    assert not verify_inclusion_steps(12, 24)
+    assert verify_inclusion_steps(3, 6)  # reads B_d for d <= 7 only
+
+
+def test_inclusion_steps_reject_an_empty_range():
+    for j_top, d_top in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            verify_inclusion_steps(j_top, d_top)
 
 
 def test_membership_transfer_examples():

@@ -55,7 +55,7 @@ index_product_spheres_f2 index_product_spheres_z index_rep_sphere_z2k
 index_sphere_r4j_f2 index_sphere_r4j_z join_scheme_obstruction
 lift_bound_to_full lucas_binom_mod2 min_certified_d mvz_upper pi_in_d8 pi_poly
 ramos_lower restriction rho_poly slice_intersection_is_zero
-verify_inclusion_power_case verify_inclusion_step verify_membership_transfer
+verify_inclusion_power_case verify_inclusion_steps verify_membership_transfer
 """.split())
 
 

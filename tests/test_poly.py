@@ -223,6 +223,24 @@ def test_enumeration_rejects_span_elements_of_another_degree_or_ring():
         span_contains_by_enumeration([D8.gen("y") ** 2], y * y)
 
 
+def test_enumeration_of_zero_is_true():
+    """0 is the empty sum, whatever the span, as for the deciders (it
+    raised TypeError before)."""
+    assert span_contains_by_enumeration([], YW_F2.zero())
+    assert span_contains_by_enumeration([_yw("y^2")], YW_F2.zero())
+    with pytest.raises(RingMismatchError):
+        span_contains_by_enumeration([D8.gen("y")], YW_F2.zero())
+
+
+def test_enumeration_rejects_a_degree_zero_target():
+    """H^0 of a Z ring is Z, not a finite slice: 2 is not in 3Z, but the
+    bitplanes read 3 as 1 and 2 as 0 (it returned True before)."""
+    one = get_ring("D8_Z_FULL").one()
+    for span, f in (([3 * one], 2 * one), ([], YW_F2.one())):
+        with pytest.raises(ValueError, match="positive-degree"):
+            span_contains_by_enumeration(span, f)
+
+
 def _reference_span_contains(span, f):
     """`span_contains_by_enumeration` as it was before its closure skipped
     covered vectors and stopped at the target: every vector's multiples

@@ -431,12 +431,20 @@ def test_ring_mismatch():
 
 
 def test_degree_and_homogeneity():
+    """`degree()` keeps its value after the first call: the same answer,
+    None for zero and ValueError for an inhomogeneous element on every
+    call, with equality and hashing untouched."""
     y, w = YW_F2.gen("y"), YW_F2.gen("w")
-    assert (y ** 2 + w).degree() == 2
-    assert YW_F2.zero().degree() is None
-    mixed = y + w
-    with pytest.raises(ValueError):
-        mixed.degree()
+    zero, mixed = YW_F2.zero(), y + w
+    for _ in range(2):
+        assert (y ** 2 + w).degree() == 2
+        assert zero.degree() is None
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            mixed.degree()
+    asked, fresh = y ** 2 + w, y ** 2 + w
+    assert asked.degree() == 2
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert zero == YW_F2.zero() and hash(zero) == hash(YW_F2.zero())
 
 
 def test_printing_orders_terms_and_factors():

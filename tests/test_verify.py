@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from d8index import bounds, poly, verify
+from d8index import bounds, poly, rings, verify
 from d8index.verify import run_suite
 
 RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
@@ -71,8 +71,9 @@ def test_chain_check_runs_the_replay(monkeypatch):
     assert failing == ["product index chains shrink as d grows, d <= 30"]
 
 
-# sha256 over f"{(gens, f)}\n" for every instance `suite_oracle` checks,
-# in order, as recorded before the oracle reused the builder's span
+# sha256 over f"{(gens, f)}\n" for every instance `suite_oracle` builds,
+# in build order (the order of the RNG draws), as recorded before the
+# oracle reused the builder's span
 ORACLE_DIGEST = "432859f64b9793f6e101b601ba34c016d7482ffa29cc22649b0cc6d8dc59c444"
 
 # member instances (verdict True) among the 500 per catalog ring, as
@@ -88,15 +89,19 @@ ORACLE_MEMBERS = {
 
 @pytest.fixture(scope="module")
 def oracle_run():
-    """One run of `suite_oracle` that records each instance it checks and
-    counts the `graded_ideal_slice` calls made inside and outside the
-    instance builder, wherever the callers look the name up."""
-    record = {"instances": [], "inside": 0, "outside": 0, "spans": [],
-              "reused": [], "members": {}}
+    """One run of `suite_oracle` that records each instance it builds and
+    each one it decides, counts the `graded_ideal_slice` calls made inside
+    and outside the instance builder, wherever the callers look the name
+    up, and records the (ring, degree) of every graded slice built while
+    `ideal_contains` runs."""
+    record = {"instances": [], "decided": [], "inside": 0, "outside": 0,
+              "spans": [], "reused": [], "members": {}, "decide_slices": []}
     building = [False]
+    deciding = [None]  # the ring name while `ideal_contains` runs
     span_of = verify.graded_ideal_slice
     build, decide = verify._random_instance, verify.ideal_contains
     enumerate_span = verify.span_contains_by_enumeration
+    new_slice = rings.GradedSlice
 
     def counted_span(gens, degree):
         record["inside" if building[0] else "outside"] += 1
@@ -108,12 +113,23 @@ def oracle_run():
             instance = build(*args)
         finally:
             building[0] = False
-        record["spans"].append(instance[-1])
+        gens, f, span = instance
+        record["instances"].append((gens, f))
+        record["spans"].append(span)
         return instance
 
     def recorded_decide(gens, f):
-        record["instances"].append((gens, f))
-        return decide(gens, f)
+        record["decided"].append((gens, f))
+        deciding[0] = f.ring.name
+        try:
+            return decide(gens, f)
+        finally:
+            deciding[0] = None
+
+    def counted_slice(degree, basis, orders):
+        if deciding[0] is not None:
+            record["decide_slices"].append((deciding[0], degree))
+        return new_slice(degree, basis, orders)
 
     def checked_enumeration(span, f):
         record["reused"].append(span is record["spans"][-1])
@@ -128,6 +144,7 @@ def oracle_run():
         mp.setattr(verify, "_random_instance", counted_build)
         mp.setattr(verify, "ideal_contains", recorded_decide)
         mp.setattr(verify, "span_contains_by_enumeration", checked_enumeration)
+        mp.setattr(rings, "GradedSlice", counted_slice)
         record["checks"] = verify.suite_oracle()
     return record
 
@@ -140,6 +157,26 @@ def test_oracle_checks_the_recorded_instances(oracle_run):
     for gens, f in instances:
         digest.update(f"{(gens, f)}\n".encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_oracle_decides_each_built_instance_once(oracle_run):
+    """The decided (gens, f) pairs are the built ones, each once, in
+    whatever order they are decided."""
+    def ids(pairs):
+        return sorted((id(gens), id(f)) for gens, f in pairs)
+
+    built = ids(oracle_run["instances"])
+    assert len(set(built)) == len(built)
+    assert ids(oracle_run["decided"]) == built
+
+
+def test_oracle_decides_each_degree_on_one_slice(oracle_run):
+    """`ideal_contains` builds at most one graded slice per (ring, degree)
+    it visits: 8,151 slices when the instances were decided in draw
+    order, each with a cold memo."""
+    built = oracle_run["decide_slices"]
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_oracle_verdicts_are_the_recorded_ones(oracle_run):
