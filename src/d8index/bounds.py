@@ -259,7 +259,7 @@ def expected_min_d(j, criterion):
     An H1 non-member at d is therefore an F2 non-member at d.
 
     That F2_D8 certifies at no smaller d, and the Z_D8 value, are
-    observations, checked for every j <= 256.  `min_certified_d` checks
+    observations, checked for every j <= 512.  `min_certified_d` checks
     the value with its verdicts and searches when it misses, so its
     answer does not depend on this function.
     """

@@ -14,24 +14,24 @@ to one Howell basis (`linalg.howell_basis`): membership is a reduction
 against it, and whether two ideal slices meet only in 0 is a count of
 subgroup orders.
 
-`contains_by_enumeration` is the independent brute-force oracle: it
-spans the slice in `RingElement` arithmetic (`graded_ideal_slice`) and
-hands the span to `span_contains_by_enumeration`, which closes the
-sums of multiples of the slice elements under its own bitplane
-addition, until the target appears or the span is used up, and never
-touches the elimination code paths.  A caller that
-has already spanned an instance in ring arithmetic passes that span to
-`span_contains_by_enumeration` itself, which rejects a span element of
-another ring or degree as the deciders reject bad input.
+Every membership answer, decider or oracle, starts with one prelude
+(`_membership_instance`): it checks the inputs, answers f = 0, and
+encodes the target.  `contains_by_enumeration` is the independent
+brute-force oracle: it spans the slice in `RingElement` arithmetic
+(`graded_ideal_slice`) and closes the sums of multiples of the span
+under its own bitplane addition (`_closure_contains`), until the target
+appears or the span is used up, and never touches the elimination code
+paths.  A caller that has already spanned an instance in ring
+arithmetic passes that span to `span_contains_by_enumeration`, which
+runs the same prelude and closure.
 """
 
 from operator import add, lshift
 
 from .linalg import z4_in_span, z4_log2_order
-from .rings import GradedSlice, RingElement, RingMismatchError
+from .rings import RingElement, RingMismatchError
 
 __all__ = [
-    "GradedSlice",
     "graded_ideal_slice",
     "ideal_slice_vectors",
     "ideal_contains",
@@ -149,16 +149,16 @@ def element_vector(e, slice_):
 
 
 def _membership_instance(gens, f):
-    """Shared prelude of the membership deciders: checks the inputs and
+    """The one prelude of every membership answer: checks the inputs and
     encodes the target f over the slice of f.  Returns (slice, target
-    vector), or None when f = 0 (0 lies in every ideal).  Each decider
-    spans the slice of <gens> its own way; reading each generator's
-    degree there rejects an inhomogeneous one, so only f = 0 checks the
-    generators here."""
+    vector), or None when f = 0 (0 lies in every ideal).  `gens` may be
+    ideal generators or the elements of a span; each answer spans or
+    encodes them over the slice its own way, which rejects an element of
+    the wrong degree, so only f = 0 checks their degrees here."""
     _common_ring(list(gens) + [f])
     if not f:
         for g in gens:
-            g.degree()  # raises ValueError on an inhomogeneous generator
+            g.degree()  # raises ValueError on an inhomogeneous element
         return None
     degree = f.degree()
     if degree == 0:
@@ -186,38 +186,33 @@ def contains_by_enumeration(gens, f):
 
     Spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
     not by `ideal_slice_vectors`, so it also checks span generation, and
-    enumerates that span with `span_contains_by_enumeration`.
+    enumerates that span as `span_contains_by_enumeration` does.
     """
-    if _membership_instance(gens, f) is None:
-        return True
-    return span_contains_by_enumeration(graded_ideal_slice(gens, f.degree()), f)
+    instance = _membership_instance(gens, f)
+    return instance is None or _closure_contains(
+        graded_ideal_slice(gens, f.degree()), *instance)
 
 
 def span_contains_by_enumeration(span, f):
-    """True iff f is a sum of multiples of the elements of `span`.
+    """True iff f is a sum of multiples of the elements of `span`, a list
+    of elements of f's ring and degree such as `graded_ideal_slice`
+    gives.  The deciders' prelude checks the inputs, the span in place
+    of the generators: f = 0 is always a sum, a nonzero f of degree 0
+    raises ValueError (H^0 of a Z ring is Z, not a finite slice), as
+    does a span element of another degree or an inhomogeneous one, and
+    one of another ring raises RingMismatchError."""
+    instance = _membership_instance(span, f)
+    return instance is None or _closure_contains(span, *instance)
 
-    f is a homogeneous element and `span` a list of elements of f's ring
-    and degree, such as the spanning set `graded_ideal_slice` gives; a
-    span element of another ring raises RingMismatchError, one of
-    another degree ValueError.  As in the deciders, f = 0 is always a
-    sum, and a nonzero f of degree 0 raises ValueError: H^0 of a Z ring
-    is Z, not a finite slice.
 
-    Builds the set of every sum of multiples of the span elements,
-    packed as bitplanes (lo, hi), one span vector v at a time: each sum
-    gains v's distinct nonzero multiples among v, 2v, 3v (over F2 only v
-    itself).  The set is always the subgroup the vectors so far
-    generate, so a vector already in it adds nothing and is skipped,
-    and the closure stops as soon as the target is in it.
-    """
-    _common_ring(list(span) + [f])
-    if not f:
-        return True
-    degree = f.degree()
-    if degree == 0:
-        raise ValueError("membership is defined for positive-degree elements")
-    slice_ = f.ring.graded_slice(degree)
-    target = element_vector(f, slice_)
+def _closure_contains(span, slice_, target):
+    """True iff `target` is a sum of multiples of the span elements over
+    `slice_`.  Builds the set of every such sum, packed as bitplanes
+    (lo, hi), one span vector v at a time: each sum gains v's distinct
+    nonzero multiples among v, 2v, 3v (over F2 only v itself).  The set
+    is always the subgroup the vectors so far generate, so a vector
+    already in it adds nothing and is skipped, and the closure stops as
+    soon as the target is in it."""
     try:
         vectors = [element_vector(e, slice_) for e in span]
     except KeyError:  # a monomial of another degree has no bit

@@ -239,6 +239,25 @@ def test_expected_min_d_is_the_acceptance_closed_forms():
         expected_min_d(0, "F2_D8")
 
 
+def test_f2_verdicts_match_sympy_groebner():
+    """Both `F2_D8` verdicts of each table row, d = mvz(j) - 1 (a member)
+    and d = mvz(j) (certified), for j <= 16, against sympy's Groebner
+    basis of <pi_(d+1), pi_(d+2)> over GF(2), which shares no code with
+    the slice solver.  The pi_n come from the recurrence
+    pi_(n+1) = y*pi_n + w*pi_(n-1), pi_0 = 0, pi_1 = y, run in sympy."""
+    sympy = pytest.importorskip("sympy")
+    y, w = sympy.symbols("y w")
+    Y, W = (sympy.Poly(v, y, w, modulus=2) for v in (y, w))
+    pi = [Y - Y, Y]
+    while len(pi) < mvz_upper(16, 2) + 3:
+        pi.append(pi[-1] * Y + pi[-2] * W)
+    for j in range(1, 17):
+        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+            groebner = sympy.groebner([pi[d + 1], pi[d + 2]], y, w, modulus=2)
+            member = groebner.contains(y ** j * w ** j)
+            assert member != admissible(d, j, "F2_D8").certified, (d, j)
+
+
 def test_criterion_ideal():
     assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
     assert criterion_ideal("Z_D8", 4) == list(index_product_spheres_z(4))

@@ -141,11 +141,14 @@ def _names_reached(defs, name):
     return names
 
 
-def test_enumeration_oracle_shares_only_the_encoder_with_the_deciders():
-    """The brute-force oracle stays independent of the elimination path:
-    `span_contains_by_enumeration` reads nothing `poly` imports from
-    `linalg`, and neither it nor `graded_ideal_slice` spans with
-    `ideal_slice_vectors`, directly or through another `poly` function."""
+def test_enumeration_oracle_shares_only_the_prelude_and_encoder_with_the_deciders():
+    """The brute-force oracle stays independent of the elimination path.
+    Both of its entry points run the deciders' prelude
+    (`_membership_instance`, which encodes with `element_vector`) and
+    then the one subgroup closure (`_closure_contains`), and neither
+    reads anything `poly` imports from `linalg` or spans with
+    `ideal_slice_vectors`, directly or through another `poly` function;
+    nor does `graded_ideal_slice`, which spans for the oracle."""
     tree = ast.parse((SRC / "poly.py").read_text())
     solver = {"linalg"} | {alias.asname or alias.name for node in tree.body
                            if isinstance(node, ast.ImportFrom)
@@ -153,10 +156,13 @@ def test_enumeration_oracle_shares_only_the_encoder_with_the_deciders():
     assert len(solver) > 1  # the guard reads what poly imports today
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    oracle = _names_reached(defs, "span_contains_by_enumeration")
-    assert "element_vector" in oracle
-    assert not oracle & solver
-    assert "ideal_slice_vectors" not in oracle
+    shared = {"_membership_instance", "_closure_contains"}
+    assert "element_vector" in _names_reached(defs, "_membership_instance")
+    for entry in ("span_contains_by_enumeration", "contains_by_enumeration"):
+        oracle = _names_reached(defs, entry)
+        assert shared <= oracle, entry
+        assert not oracle & solver, entry
+        assert "ideal_slice_vectors" not in oracle, entry
     assert "ideal_slice_vectors" not in _names_reached(defs, "graded_ideal_slice")
 
 

@@ -135,8 +135,8 @@ def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
                 for i, gens in enumerate((first, second)) for f in fs}
     assert len(set(expected.values())) == 2
     for order in ((0, 1), (1, 0), (0, "other", 1), (1, "other", 0)):
-        for n in (degree - 1, degree - 2):  # fill both slice slots, so
-            ring.graded_slice(n)            # every order starts afresh
+        # a ring keeps one slice: evict it, so every order starts afresh
+        ring.graded_slice(degree - 1)
         for step in order:
             if step == "other":
                 ideal_contains(first + second, g)
@@ -225,11 +225,15 @@ def test_enumeration_rejects_span_elements_of_another_degree_or_ring():
 
 def test_enumeration_of_zero_is_true():
     """0 is the empty sum, whatever the span, as for the deciders (it
-    raised TypeError before)."""
+    raised TypeError before); and as the deciders refuse an
+    inhomogeneous generator at f = 0, the enumeration refuses an
+    inhomogeneous span element (it returned True before)."""
     assert span_contains_by_enumeration([], YW_F2.zero())
     assert span_contains_by_enumeration([_yw("y^2")], YW_F2.zero())
     with pytest.raises(RingMismatchError):
         span_contains_by_enumeration([D8.gen("y")], YW_F2.zero())
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        span_contains_by_enumeration([_yw("y+w")], YW_F2.zero())
 
 
 def test_enumeration_rejects_a_degree_zero_target():
