@@ -25,9 +25,9 @@ _HOMES = {
                "index_product_spheres_f2 index_product_spheres_z "
                "index_rep_sphere_z2k index_sphere_r4j_f2 index_sphere_r4j_z "
                "join_scheme_obstruction lucas_binom_mod2 pi_in_d8 pi_poly rho_poly",
-    "poly": "contains_by_enumeration graded_ideal_slice ideal_contains "
+    "poly": "GradedSlice contains_by_enumeration graded_ideal_slice ideal_contains "
             "ideal_subset slice_intersection_is_zero",
-    "rings": "CATALOG ElementParseError GradedSlice RingElement RingMismatchError "
+    "rings": "CATALOG ElementParseError RingElement RingMismatchError "
              "RingPresentation YW_F2 get_ring",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items()

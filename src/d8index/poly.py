@@ -3,16 +3,16 @@
 Every ideal handled here is homogeneous and every graded piece of every
 ring is a finite group (+) Z/o_i with o_i in {2, 4} (an F2 slice is the
 case where every o_i is 2), so membership is exact linear algebra on the
-degree slice.  `element_vector` is the one encoder: it packs an element
-over the slice's own index map as two bitplanes (lo, hi), with `hi`
-masked to the slice's order-4 coordinates (`GradedSlice.mask4`).  The
-deciders span an ideal slice with `ideal_slice_vectors`, which builds
-those packed vectors of the products m * g directly from monomial keys
-and the slice's memo of single-monomial normal forms, with no
-`RingElement` product.  Every decider, for every ring, hands the vectors
-to one Howell basis (`linalg.howell_basis`): membership is a reduction
-against it, and whether two ideal slices meet only in 0 is a count of
-subgroup orders.
+degree slice, a `GradedSlice`, of which `graded_slice` keeps each ring's
+most recent one.  `element_vector`, the one encoder, packs an element
+over its bit map `index` as two bitplanes (lo, hi), with `hi` masked by
+its order-4 mask `mask4`.  The deciders span an ideal slice with
+`ideal_slice_vectors`, which builds those packed vectors of the products
+m * g directly from monomial keys and the slice's memo of
+single-monomial normal forms, with no `RingElement` product.  Every
+decider, for every ring, hands the vectors to one Howell basis
+(`linalg.howell_basis`): membership is a reduction against it, and
+whether two ideal slices meet only in 0 is a count of subgroup orders.
 
 Every membership answer, decider or oracle, starts with one prelude
 (`_membership_instance`): it checks the inputs, answers f = 0, and
@@ -32,6 +32,8 @@ from .linalg import z4_in_span, z4_log2_order
 from .rings import RingElement, RingMismatchError
 
 __all__ = [
+    "GradedSlice",
+    "graded_slice",
     "graded_ideal_slice",
     "ideal_slice_vectors",
     "ideal_contains",
@@ -52,6 +54,42 @@ def _common_ring(elems):
         if e.ring is not ring and e.ring != ring:
             raise RingMismatchError("elements from different rings")
     return ring
+
+
+class GradedSlice:
+    """The degree-n piece of a ring: `basis` lists its normal monomials in
+    descending lex order, `index` maps each to its bit (the largest on the
+    top bit), and the bits of `mask4` are the order-4 monomials.  `memo`,
+    filled lazily by `ideal_slice_vectors`, maps a raw degree-n monomial
+    packed into one int to the packed vector of its normal form, which
+    no generator set changes, so every decision at the degree shares it."""
+
+    __slots__ = ("degree", "basis", "index", "mask4", "memo")
+
+    def __init__(self, ring, degree):
+        self.degree = degree
+        self.basis = tuple(ring.monomials(degree))
+        self.index = {m: i for i, m in enumerate(reversed(self.basis))}
+        order = ring.monomial_order
+        self.mask4 = sum(1 << i for m, i in self.index.items() if order(m) == 4)
+        self.memo = {}
+
+    def __len__(self):
+        return len(self.basis)
+
+
+_SLICES = {}  # ring -> its most recently used slice
+
+
+def graded_slice(ring, degree):
+    """The ring's slice of the degree.  Each ring keeps its most recently
+    used slice, so memory stays bounded and the verdicts at one degree
+    share one slice and memo; one slot for all rings would rebuild 112
+    slices for `bound_report(j)` over j <= 32, not 96."""
+    slice_ = _SLICES.get(ring)
+    if slice_ is None or slice_.degree != degree:
+        slice_ = _SLICES[ring] = GradedSlice(ring, degree)
+    return slice_
 
 
 def graded_ideal_slice(gens, degree):
@@ -163,7 +201,7 @@ def _membership_instance(gens, f):
     degree = f.degree()
     if degree == 0:
         raise ValueError("membership is defined for positive-degree elements")
-    slice_ = f.ring.graded_slice(degree)
+    slice_ = graded_slice(f.ring, degree)
     return slice_, element_vector(f, slice_)
 
 
@@ -182,12 +220,10 @@ def ideal_subset(a_gens, b_gens):
 
 
 def contains_by_enumeration(gens, f):
-    """Brute-force membership oracle.
-
-    Spans the slice in `RingElement` arithmetic (`graded_ideal_slice`),
-    not by `ideal_slice_vectors`, so it also checks span generation, and
-    enumerates that span as `span_contains_by_enumeration` does.
-    """
+    """Brute-force membership oracle: spans the slice in `RingElement`
+    arithmetic (`graded_ideal_slice`), not by `ideal_slice_vectors`, so it
+    also checks span generation, and enumerates that span as
+    `span_contains_by_enumeration` does."""
     instance = _membership_instance(gens, f)
     return instance is None or _closure_contains(
         graded_ideal_slice(gens, f.degree()), *instance)
@@ -240,7 +276,7 @@ def slice_intersection_is_zero(a_gens, b_gens, degree):
     ring = _common_ring(list(a_gens) + list(b_gens))
     if ring is None:
         return True
-    slice_ = ring.graded_slice(degree)
+    slice_ = graded_slice(ring, degree)
     vec_a = ideal_slice_vectors(a_gens, slice_)
     vec_b = ideal_slice_vectors(b_gens, slice_)
     if not vec_a or not vec_b:

@@ -13,6 +13,7 @@ order 2; the degree-0 monomial is not reduced at all (H^0 = Z).
 
 The module ends with the catalog of the cohomology rings of D8 and its
 subgroups, for both coefficient systems, keyed by stable identifiers.
+It is algebra only: packed degree slices and their cache live in `poly`.
 """
 
 import re
@@ -21,7 +22,6 @@ from operator import add, mul, sub
 __all__ = [
     "RingMismatchError",
     "ElementParseError",
-    "GradedSlice",
     "RingPresentation",
     "RingElement",
     "CATALOG",
@@ -35,32 +35,6 @@ class RingMismatchError(ValueError):
 
 class ElementParseError(ValueError):
     """Text does not match the element grammar of the target ring."""
-
-
-class GradedSlice:
-    """Basis of the degree-n piece of a ring: normal-form monomials in
-    descending lexicographic order.  Every encoding over the slice uses
-    `index`, the monomial -> bit map, which puts the lexicographically
-    largest monomial on the top bit, and `mask4`, the int whose bits are
-    the order-4 monomials (from `orders`, the basis' additive orders).
-
-    `memo` starts empty and is filled lazily by `poly.ideal_slice_vectors`:
-    it maps a raw degree-n monomial, packed into one int, to the packed
-    vector of that monomial's normal form.  It depends on the ring and the
-    degree alone, never on a generator set, so any decision at this degree
-    may share it."""
-
-    __slots__ = ("degree", "basis", "index", "mask4", "memo")
-
-    def __init__(self, degree, basis, orders):
-        self.degree = degree
-        self.basis = tuple(basis)
-        self.index = {m: i for i, m in enumerate(reversed(self.basis))}
-        self.mask4 = sum(1 << self.index[m] for m, o in zip(self.basis, orders) if o == 4)
-        self.memo = {}
-
-    def __len__(self):
-        return len(self.basis)
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
@@ -143,7 +117,6 @@ class RingPresentation:
         self._print_order = sorted(range(len(self.gens)),
                                    key=lambda i: (-self.degrees[i], i))
         self._mono_cache = {}
-        self._slice = None  # the most recently used graded slice
         # equality is structural: the name is only a catalog label
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
@@ -306,17 +279,6 @@ class RingPresentation:
             cached = self._exponent_walk(degree, staircase=True)[::-1]
             self._mono_cache[degree] = cached
         return list(cached)
-
-    def graded_slice(self, degree):
-        """The slice of the degree.  The most recently used slice is kept
-        and returned again for its degree, so memory stays bounded and
-        every verdict at one degree shares one slice and its memo."""
-        slice_ = self._slice
-        if slice_ is None or slice_.degree != degree:
-            basis = self.monomials(degree)
-            slice_ = GradedSlice(degree, basis, [self.monomial_order(m) for m in basis])
-            self._slice = slice_
-        return slice_
 
     # -- element constructors --------------------------------------------
 

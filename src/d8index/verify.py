@@ -9,8 +9,8 @@ index identity has one body in `indexes`, and the shrinking index
 chains theirs in `bounds.criterion_chains_shrink`; a suite only sets
 its range and its label, as the tests do with theirs.
 
-A ring keeps one graded slice and its memo, for the degree last asked
-(`RingPresentation.graded_slice`), so the sweeps ask for their verdicts
+`poly.graded_slice` keeps one slice and its memo per ring, for the
+degree last asked of that ring, so the sweeps ask for their verdicts
 degree by degree: the oracle decides its instances in ascending degree,
 `bounds.verify_inclusion_steps` takes one generator of A_j at a time
 across every d, and the membership transfer runs d inside j, whose

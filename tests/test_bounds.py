@@ -258,6 +258,39 @@ def test_f2_verdicts_match_sympy_groebner():
             assert member != admissible(d, j, "F2_D8").certified, (d, j)
 
 
+def _wbar(top):
+    """wbar_0, ..., wbar_top in F2[y,w]: wbar_0 = 1, wbar_1 = y and the pi
+    recurrence wbar_(n+1) = y*wbar_n + w*wbar_(n-1), run in ring
+    arithmetic.  These are the dual Stiefel-Whitney classes of the
+    Grassmannian of 2-planes, with w1 = y and w2 = w."""
+    y, w = YW_F2.gen("y"), YW_F2.gen("w")
+    wbar = [YW_F2.one(), y]
+    while len(wbar) <= top:
+        wbar.append(y * wbar[-1] + w * wbar[-2])
+    return wbar
+
+
+def test_pi_is_y_times_wbar():
+    wbar = _wbar(127)
+    y = YW_F2.gen("y")
+    for d in range(1, 129):
+        assert pi_poly(d) == y * wbar[d - 1], d
+
+
+def test_f2_verdicts_are_grassmannian_memberships():
+    """F2[y,w] is a domain and pi_n = y*wbar_(n-1), so y^j w^j lies in
+    <pi_(d+1), pi_(d+2)> iff y^(j-1) w^j lies in <wbar_d, wbar_(d+1)>:
+    `F2_D8` certifies (d, j) iff w1^(j-1) w2^j is not 0 in the cohomology
+    of the Grassmannian of 2-planes in R^(d+1).  Both verdicts of each
+    table row, d = mvz(j) - 1 and d = mvz(j), for j <= 64."""
+    wbar = _wbar(mvz_upper(64, 2) + 1)
+    for j in range(1, 65):
+        target = YW_F2.element({(j - 1, j): 1})
+        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+            member = ideal_contains([wbar[d], wbar[d + 1]], target)
+            assert member != admissible(d, j, "F2_D8").certified, (d, j)
+
+
 def test_criterion_ideal():
     assert criterion_ideal("F2_D8", 3) == [pi_poly(4), pi_poly(5)]
     assert criterion_ideal("Z_D8", 4) == list(index_product_spheres_z(4))

@@ -166,6 +166,59 @@ def test_enumeration_oracle_shares_only_the_prelude_and_encoder_with_the_decider
     assert "ideal_slice_vectors" not in _names_reached(defs, "graded_ideal_slice")
 
 
+def _identifiers(tree):
+    """Every name a module binds or reads: Names, attributes, arguments,
+    defs and classes, imported names, and identifier strings such as the
+    entries of `__all__` and `__slots__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def _imported_modules(tree):
+    """The package modules a module imports from, by their short names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("d8index").lstrip(".")
+            if module:
+                yield module
+            else:  # from . import poly
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("d8index.") for alias in node.names)
+
+
+def test_rings_holds_no_packed_slice():
+    """`rings` is algebra only: the packed degree slice, its cache and
+    its memo live in `poly`, and `rings` reaches no solver module."""
+    tree = ast.parse((SRC / "rings.py").read_text())
+    slice_names = {"GradedSlice", "graded_slice", "_slice", "mask4", "memo"}
+    assert set(_identifiers(tree)) & slice_names == set()
+    assert set(_imported_modules(tree)) & {"poly", "linalg"} == set()
+
+
+def test_graded_slices_are_built_only_in_poly():
+    """One module owns the packed slice format and its cache."""
+    builders = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "GradedSlice" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add(path.stem)
+    assert builders == {"poly"}
+
+
 def test_readme_library_example_runs():
     # a public name deleted from the package breaks this, not the reader
     library = (ROOT / "README.md").read_text().split("## Library", 1)[1]

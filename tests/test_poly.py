@@ -4,14 +4,15 @@ import zlib
 
 import pytest
 
+from d8index import poly
+from d8index.bounds import bound_report
 from d8index.linalg import z4_in_span
-from d8index.poly import (_common_ring, contains_by_enumeration, element_vector,
-                          graded_ideal_slice, ideal_contains,
-                          ideal_slice_vectors, ideal_subset,
+from d8index.poly import (GradedSlice, _common_ring, contains_by_enumeration,
+                          element_vector, graded_ideal_slice, graded_slice,
+                          ideal_contains, ideal_slice_vectors, ideal_subset,
                           slice_intersection_is_zero,
                           span_contains_by_enumeration)
-from d8index.rings import (CATALOG, GradedSlice, RingMismatchError, YW_F2,
-                           get_ring)
+from d8index.rings import CATALOG, RingMismatchError, YW_F2, get_ring
 from d8index.verify import random_homogeneous
 
 BOUND = get_ring("D8_Z_BOUND")
@@ -63,7 +64,7 @@ def test_packed_span_matches_ring_arithmetic(ring):
         degree = rng.randint(1, 12)
         gens = [random_homogeneous(ring, rng.randint(0, degree), rng)
                 for _ in range(rng.randint(1, 3))]
-        slice_ = ring.graded_slice(degree)
+        slice_ = graded_slice(ring, degree)
         vectors = _ring_span_vectors(gens, slice_)
         assert ideal_slice_vectors(gens, slice_) == vectors
         checked += bool(vectors)
@@ -84,12 +85,12 @@ def test_packed_span_reduces_coefficients_per_monomial():
     for ring, texts, degrees in cases:
         gens = [ring.parse(t) for t in texts] + [ring.one(), 2 * ring.one()]
         for degree in degrees:
-            slice_ = ring.graded_slice(degree)
+            slice_ = graded_slice(ring, degree)
             for g in gens:
                 assert ideal_slice_vectors([g], slice_) == \
                     _ring_span_vectors([g], slice_), (ring.name, g, degree)
     # 2*(Y*W) = 0: every product of 2*W with Y*m drops out
-    assert ideal_slice_vectors([BOUND.parse("2*W")], BOUND.graded_slice(6)) == []
+    assert ideal_slice_vectors([BOUND.parse("2*W")], graded_slice(BOUND, 6)) == []
 
 
 @pytest.mark.parametrize("ring_name, degree", [("H2_F2", 2 ** 17 + 3),
@@ -98,18 +99,59 @@ def test_packed_span_key_width_grows_with_degree(ring_name, degree):
     """Exponents above 2^17 fit their key fields: the width follows the
     degree."""
     ring = get_ring(ring_name)
-    slice_ = ring.graded_slice(degree)
+    slice_ = graded_slice(ring, degree)
     top = ring.element({slice_.basis[0]: 1})
     gens = [ring.gen(s) for s in ring.gens] + [top]
     assert ideal_slice_vectors(gens, slice_) == _ring_span_vectors(gens, slice_)
     assert ideal_contains(gens[:1], top)
 
 
+def test_graded_slice_orders():
+    bound = get_ring("D8_Z_BOUND")
+    slice8 = graded_slice(bound, 8)
+    assert bound.monomial_order((0, 0, 2)) == 4      # W^2
+    assert bound.monomial_order((2, 0, 1)) == 2      # Y^2*W
+    assert slice8.mask4 == 1 << slice8.index[(0, 0, 2)]
+    assert slice8.degree == 8
+
+
+def test_graded_slice_is_reused_at_one_degree():
+    """A ring's most recently used slice is returned again for its
+    degree; another degree of that ring replaces it, another ring's slice
+    does not."""
+    ring = get_ring("D8_Z_FULL")
+    s9 = graded_slice(ring, 9)
+    assert graded_slice(ring, 9) is s9
+    s8 = graded_slice(ring, 8)
+    assert s8.degree == 8 and graded_slice(ring, 8) is s8
+    assert graded_slice(ring, 9) is not s9
+    s9 = graded_slice(ring, 9)
+    assert s9.basis == tuple(ring.monomials(9))
+    graded_slice(D8, 4)
+    assert graded_slice(ring, 9) is s9
+
+
+def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
+    """One slot per ring builds no more slices than two did: `F2_D8` and
+    `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2 and then 3j+3
+    at odd j, and the next, even, j finds 3j+3 in the slot."""
+    monkeypatch.setattr(poly, "_SLICES", {})
+    built = []
+    init = GradedSlice.__init__
+
+    def counting_init(self, ring, degree):
+        built.append(degree)
+        init(self, ring, degree)
+
+    monkeypatch.setattr(GradedSlice, "__init__", counting_init)
+    for j in range(1, 33):
+        bound_report(j)
+    assert len(built) == 96
+
+
 def _fresh_verdict(gens, f):
     """ideal_contains on a slice built here, with an empty memo."""
-    ring, degree = f.ring, f.degree()
-    basis = ring.monomials(degree)
-    fresh = GradedSlice(degree, basis, [ring.monomial_order(m) for m in basis])
+    fresh = GradedSlice(f.ring, f.degree())
     return z4_in_span(ideal_slice_vectors(gens, fresh),
                       element_vector(f, fresh), fresh.mask4)
 
@@ -136,7 +178,7 @@ def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
     assert len(set(expected.values())) == 2
     for order in ((0, 1), (1, 0), (0, "other", 1), (1, "other", 0)):
         # a ring keeps one slice: evict it, so every order starts afresh
-        ring.graded_slice(degree - 1)
+        graded_slice(ring, degree - 1)
         for step in order:
             if step == "other":
                 ideal_contains(first + second, g)
@@ -144,7 +186,7 @@ def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
             gens = (first, second)[step]
             for f in fs:
                 assert ideal_contains(gens, f) == expected[(step, f)]
-    slice_ = ring.graded_slice(degree)
+    slice_ = graded_slice(ring, degree)
     width = degree.bit_length() + 1
     assert slice_.memo
     for key, vector in slice_.memo.items():
@@ -250,7 +292,7 @@ def _reference_span_contains(span, f):
     covered vectors and stopped at the target: every vector's multiples
     are added to every sum, and the target is looked up at the end."""
     _common_ring(list(span) + [f])
-    slice_ = f.ring.graded_slice(f.degree())
+    slice_ = graded_slice(f.ring, f.degree())
     target = element_vector(f, slice_)
     vectors = [element_vector(e, slice_) for e in span]
     mask4 = slice_.mask4
@@ -360,6 +402,41 @@ def test_oracle_agreement_sample(ring_name, degree_cap):
         assert ideal_contains(gens, f) == contains_by_enumeration(gens, f)
 
 
+@pytest.mark.parametrize("ring_name", ["YW_F2", "D8_F2"])
+def test_f2_membership_matches_sympy_groebner(ring_name):
+    """Random instances of degree 12..20, past the enumeration oracle's F2
+    cap of 8, against sympy's Groebner basis over GF(2), which shares no
+    code with the slice solver.  In D8_F2 the relation x*y joins the
+    basis, since the ring is F2[x,y,w]/<x*y>.  Half the targets are drawn
+    inside the ideal; both verdicts occur."""
+    sympy = pytest.importorskip("sympy")
+    ring = YW_F2 if ring_name == "YW_F2" else get_ring(ring_name)
+    symbols = sympy.symbols(ring.gens)
+    relations = [sympy.Mul(*symbols[:2])] if ring_name == "D8_F2" else []
+
+    def expr(e):
+        return sympy.Add(*(sympy.Mul(*(s ** k for s, k in zip(symbols, mono)))
+                           for mono in e.terms))
+
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(20):
+        degree = rng.randint(12, 20)
+        gens = [g for g in (random_homogeneous(ring, rng.randint(2, 10), rng)
+                            for _ in range(rng.randint(1, 3))) if g]
+        f = ring.zero()
+        if rng.random() < 0.5:
+            for g in gens:
+                f = f + random_homogeneous(ring, degree - g.degree(), rng) * g
+        f = f or random_homogeneous(ring, degree, rng)
+        groebner = sympy.groebner([expr(g) for g in gens] + relations,
+                                  *symbols, modulus=2)
+        verdict = ideal_contains(gens, f)
+        assert verdict == groebner.contains(expr(f)), (gens, f)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
 def test_slice_intersection():
     x = D8.gen("x")
     y, w = D8.gen("y"), D8.gen("w")
@@ -426,7 +503,7 @@ def test_z_membership_matches_element_arithmetic(ring_name):
     checked = 0
     for _ in range(40):
         degree = rng.randint(1, 8)
-        slice_ = ring.graded_slice(degree)
+        slice_ = graded_slice(ring, degree)
         if not 0 < len(slice_) <= 4:
             continue
         gens = [g for g in (random_homogeneous(ring, rng.randint(1, degree), rng)
@@ -447,7 +524,7 @@ def test_element_vector_is_injective(ring_name):
     many vectors as the slice has elements."""
     ring = get_ring(ring_name)
     for degree in range(1, 7):
-        slice_ = ring.graded_slice(degree)
+        slice_ = graded_slice(ring, degree)
         if not 0 < len(slice_) <= 4:
             continue
         vectors = set()

@@ -4,8 +4,7 @@ import zlib
 
 import pytest
 
-from d8index.bounds import bound_report
-from d8index.rings import (CATALOG, ElementParseError, GradedSlice,
+from d8index.rings import (CATALOG, ElementParseError,
                            RingMismatchError, RingPresentation, YW_F2,
                            get_ring)
 
@@ -337,46 +336,6 @@ def test_monomial_basis_is_sorted_and_normal():
     assert bound.monomials(1) == []
     assert bound.monomials(0) == [(0, 0, 0)]
     assert all(m[1] <= 1 for m in bound.monomials(12))  # M^2 rewrites away
-
-
-def test_graded_slice_orders():
-    bound = get_ring("D8_Z_BOUND")
-    slice8 = bound.graded_slice(8)
-    assert bound.monomial_order((0, 0, 2)) == 4      # W^2
-    assert bound.monomial_order((2, 0, 1)) == 2      # Y^2*W
-    assert slice8.mask4 == 1 << slice8.index[(0, 0, 2)]
-    assert slice8.degree == 8
-
-
-def test_graded_slice_is_reused_at_one_degree():
-    """The most recently used slice is returned again for its degree;
-    another degree replaces it."""
-    ring = get_ring("D8_Z_FULL")
-    s9 = ring.graded_slice(9)
-    assert ring.graded_slice(9) is s9
-    s8 = ring.graded_slice(8)
-    assert s8.degree == 8 and ring.graded_slice(8) is s8
-    assert ring.graded_slice(9) is not s9
-    assert ring.graded_slice(9).basis == s9.basis
-
-
-def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
-    """One slot per ring builds no more slices than two did: `F2_D8` and
-    `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2 and then 3j+3
-    at odd j, and the next, even, j finds 3j+3 in the slot."""
-    for ring in (*CATALOG.values(), YW_F2):
-        monkeypatch.setattr(ring, "_slice", None)
-    built = []
-    init = GradedSlice.__init__
-
-    def counting_init(self, degree, basis, orders):
-        built.append(degree)
-        init(self, degree, basis, orders)
-
-    monkeypatch.setattr(GradedSlice, "__init__", counting_init)
-    for j in range(1, 33):
-        bound_report(j)
-    assert len(built) == 96
 
 
 def test_parse_and_print_round_trip():

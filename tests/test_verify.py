@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from d8index import bounds, poly, rings, verify
+from d8index import bounds, poly, verify
 from d8index.verify import run_suite
 
 RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
@@ -101,7 +101,7 @@ def oracle_run():
     span_of = verify.graded_ideal_slice
     build, decide = verify._random_instance, verify.ideal_contains
     enumerate_span = verify.span_contains_by_enumeration
-    new_slice = rings.GradedSlice
+    new_slice = poly.GradedSlice
 
     def counted_span(gens, degree):
         record["inside" if building[0] else "outside"] += 1
@@ -126,10 +126,10 @@ def oracle_run():
         finally:
             deciding[0] = None
 
-    def counted_slice(degree, basis, orders):
+    def counted_slice(ring, degree):
         if deciding[0] is not None:
             record["decide_slices"].append((deciding[0], degree))
-        return new_slice(degree, basis, orders)
+        return new_slice(ring, degree)
 
     def checked_enumeration(span, f):
         record["reused"].append(span is record["spans"][-1])
@@ -144,7 +144,7 @@ def oracle_run():
         mp.setattr(verify, "_random_instance", counted_build)
         mp.setattr(verify, "ideal_contains", recorded_decide)
         mp.setattr(verify, "span_contains_by_enumeration", checked_enumeration)
-        mp.setattr(rings, "GradedSlice", counted_slice)
+        mp.setattr(poly, "GradedSlice", counted_slice)
         record["checks"] = verify.suite_oracle()
     return record
 
