@@ -25,8 +25,8 @@ _HOMES = {
                "index_product_spheres_f2 index_product_spheres_z "
                "index_rep_sphere_z2k index_sphere_r4j_f2 index_sphere_r4j_z "
                "join_scheme_obstruction lucas_binom_mod2 pi_in_d8 pi_poly rho_poly",
-    "poly": "GradedSlice contains_by_enumeration graded_ideal_slice ideal_contains "
-            "ideal_subset slice_intersection_is_zero",
+    "poly": "graded_ideal_slice ideal_contains ideal_subset "
+            "slice_intersection_is_zero span_contains_by_enumeration",
     "rings": "CATALOG ElementParseError RingElement RingMismatchError "
              "RingPresentation YW_F2 get_ring",
 }

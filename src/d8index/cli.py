@@ -206,6 +206,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    if [] in vars(args).values():  # argparse (3.11) reads `--opt=--` as []
+        print("an option's value is '--'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ValueError as exc:

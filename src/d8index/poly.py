@@ -16,14 +16,11 @@ whether two ideal slices meet only in 0 is a count of subgroup orders.
 
 Every membership answer, decider or oracle, starts with one prelude
 (`_membership_instance`): it checks the inputs, answers f = 0, and
-encodes the target.  `contains_by_enumeration` is the independent
-brute-force oracle: it spans the slice in `RingElement` arithmetic
-(`graded_ideal_slice`) and closes the sums of multiples of the span
-under its own bitplane addition (`_closure_contains`), until the target
-appears or the span is used up, and never touches the elimination code
-paths.  A caller that has already spanned an instance in ring
-arithmetic passes that span to `span_contains_by_enumeration`, which
-runs the same prelude and closure.
+encodes the target.  `span_contains_by_enumeration` is the independent
+brute-force oracle: it takes a span made in `RingElement` arithmetic,
+such as `graded_ideal_slice` gives, and closes the sums of multiples
+of the span under its own bitplane addition until the target appears
+or the span is used up, and never touches the elimination code paths.
 """
 
 from operator import add, lshift
@@ -38,7 +35,6 @@ __all__ = [
     "ideal_slice_vectors",
     "ideal_contains",
     "ideal_subset",
-    "contains_by_enumeration",
     "span_contains_by_enumeration",
     "slice_intersection_is_zero",
     "element_vector",
@@ -219,16 +215,6 @@ def ideal_subset(a_gens, b_gens):
     return all(ideal_contains(b_gens, g) for g in a_gens)
 
 
-def contains_by_enumeration(gens, f):
-    """Brute-force membership oracle: spans the slice in `RingElement`
-    arithmetic (`graded_ideal_slice`), not by `ideal_slice_vectors`, so it
-    also checks span generation, and enumerates that span as
-    `span_contains_by_enumeration` does."""
-    instance = _membership_instance(gens, f)
-    return instance is None or _closure_contains(
-        graded_ideal_slice(gens, f.degree()), *instance)
-
-
 def span_contains_by_enumeration(span, f):
     """True iff f is a sum of multiples of the elements of `span`, a list
     of elements of f's ring and degree such as `graded_ideal_slice`
@@ -236,19 +222,15 @@ def span_contains_by_enumeration(span, f):
     of the generators: f = 0 is always a sum, a nonzero f of degree 0
     raises ValueError (H^0 of a Z ring is Z, not a finite slice), as
     does a span element of another degree or an inhomogeneous one, and
-    one of another ring raises RingMismatchError."""
-    instance = _membership_instance(span, f)
-    return instance is None or _closure_contains(span, *instance)
-
-
-def _closure_contains(span, slice_, target):
-    """True iff `target` is a sum of multiples of the span elements over
-    `slice_`.  Builds the set of every such sum, packed as bitplanes
-    (lo, hi), one span vector v at a time: each sum gains v's distinct
-    nonzero multiples among v, 2v, 3v (over F2 only v itself).  The set
+    one of another ring raises RingMismatchError.  The set of every sum,
+    packed as bitplanes (lo, hi), grows one span vector v at a time by
+    v's distinct nonzero multiples among v, 2v, 3v (over F2 only v).  It
     is always the subgroup the vectors so far generate, so a vector
-    already in it adds nothing and is skipped, and the closure stops as
-    soon as the target is in it."""
+    already in it is skipped, and the closure stops at the target."""
+    instance = _membership_instance(span, f)
+    if instance is None:
+        return True
+    slice_, target = instance
     try:
         vectors = [element_vector(e, slice_) for e in span]
     except KeyError:  # a monomial of another degree has no bit

@@ -40,6 +40,15 @@ class ElementParseError(ValueError):
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
 
 
+def _parse_int(digits, factor):
+    """int(digits); past the interpreter's int-conversion digit limit, a
+    parse error of the factor."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ElementParseError(f"integer too long in factor {factor[:20]!r}...") from None
+
+
 class RingPresentation:
     """A graded commutative ring given by generators and rewrite rules.
 
@@ -177,7 +186,9 @@ class RingPresentation:
 
         The first rule whose pattern divides a monomial rewrites it, until
         none does (the rules are oriented one lexicographic way, so this
-        terminates); a ring without rules skips the loop.
+        terminates); a ring without rules skips the loop.  Each round of
+        rewriting adds up equal monomials, mod 4 (they have positive
+        degree), so a two-term rule fans eta^(2k) out to k + 1, not 2^k.
         Then coefficients are reduced modulo each monomial's additive
         order: `& 1` in an F2 ring; in a Z ring `& 1` when an order-2
         generator divides the monomial, else `& 3`, and not at all at
@@ -186,20 +197,21 @@ class RingPresentation:
         rules = self._rules
         if rules:
             out = {}
-            stack = list(terms.items())
-            while stack:
-                mono, coeff = stack.pop()
-                if not coeff:
-                    continue
-                for support, pat, rep in rules:
-                    for i, p in support:  # does pat divide mono?
-                        if mono[i] < p:
+            while terms:
+                pending, terms = terms, {}
+                for mono, coeff in pending.items():
+                    if not coeff:
+                        continue
+                    for support, pat, rep in rules:
+                        for i, p in support:  # does pat divide mono?
+                            if mono[i] < p:
+                                break
+                        else:
+                            for m, c in self._rewrite(mono, coeff, pat, rep):
+                                terms[m] = (terms.get(m, 0) + c) & 3
                             break
                     else:
-                        stack += self._rewrite(mono, coeff, pat, rep)
-                        break
-                else:
-                    out[mono] = out.get(mono, 0) + coeff
+                        out[mono] = out.get(mono, 0) + coeff
         else:
             out = terms
         if self.coeff == "F2":
@@ -324,7 +336,7 @@ class RingPresentation:
                 # minus only on integers: the free degree-0 part of a
                 # Z-coefficient ring can carry negative values
                 if factor.isdecimal() or (factor[0] == "-" and factor[1:].isdecimal()):
-                    coeff *= int(factor)
+                    coeff *= _parse_int(factor, factor)
                     continue
                 m = _FACTOR_RE.match(factor)
                 if m is None:
@@ -333,7 +345,7 @@ class RingPresentation:
                 i = self._symbols.get(sym)
                 if i is None:
                     raise ElementParseError(f"unknown symbol {sym!r} in {self.name}")
-                mono[i] += int(exp) if exp else 1
+                mono[i] += _parse_int(exp, factor) if exp else 1
             key = tuple(mono)
             terms[key] = terms.get(key, 0) + coeff
         return self.element(terms)

@@ -208,6 +208,27 @@ def test_restrict_errors(capsys):
     assert code == 3 and err
 
 
+def test_restrict_overlong_integer_is_a_parse_error(capsys):
+    # past the interpreter's int-conversion digit limit: a parse error,
+    # not its bare ValueError (exit 2)
+    for element in ("1" * 5000 + "*x", "x^" + "1" * 5000):
+        code, out, err = run(capsys, "restrict", "--from", "D8", "--to", "H1",
+                             "--coeff", "f2", "--element", element)
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("integer too long in factor")
+
+
+def test_option_value_of_two_dashes_is_a_usage_error(capsys):
+    # argparse (3.11) gives `--opt=--` the value [], which no verb takes
+    for argv in (["restrict", "--from", "D8", "--to", "H1", "--coeff", "f2",
+                  "--element=--"],
+                 ["restrict", "--from=--", "--to", "H1", "--coeff", "f2",
+                  "--element", "w"],
+                 ["ideal", "--name=--"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+
 def test_ideal_command(capsys):
     code, out, _ = run(capsys, "ideal", "--name", "product_spheres_z",
                        "--d", "2")

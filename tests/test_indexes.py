@@ -202,6 +202,60 @@ def test_reduction_of_capital_pi():
     assert capital_pi_reduces_to_pi(32)
 
 
+def test_recurrence_transfer_proves_the_restriction_and_reduction_sweeps():
+    """Finite checks that prove `pi_restricts_to_rho` and
+    `capital_pi_reduces_to_pi` for every d, where the sweeps stop at a cap.
+
+    Recurrence transfer: let a_(n+1) = p*a_n + q*a_(n-1) and b_(n+1) =
+    P*b_n + Q*b_(n-1), and let f be additive and multiplicative on the
+    a_n, p and q.  If f(p) = P, f(q) = Q, f(a_0) = b_0 and f(a_1) = b_1,
+    then f(a_n) = b_n for every n, by induction.
+
+    pi_d obeys p_(d+1) = y*p_d + w*p_(d-1) for every d: its coefficient
+    binom(d-i, i) of w^i*y^(d+1-2i) is binom(d-1-i, i) + binom(d-1-i,
+    i-1) mod 2, which is Pascal's rule.  Pi_d is the same family in Y
+    and W; for d >= 1 each of its monomials has the order-2 factor Y, so
+    its coefficients are read mod 2 and Pascal's rule gives the same
+    recurrence.
+
+    - pi -> rho: res_H1 is a ring map, res(y) = b and res(w) = a(a+b).
+      rho_d = a^d + (a+b)^d obeys rho_(d+2) = b*rho_(d+1) +
+      a(a+b)*rho_d, since a and a+b are roots of t^2 = b*t + a(a+b);
+      with res(pi_0) = rho_0 and res(pi_1) = rho_1 the lemma applies.
+    - Pi -> pi_2d: the stride-2 subsequence c_n = a_(2n) of a_(n+1) =
+      p*a_n + q*a_(n-1) obeys c_(n+1) = (p^2 + 2q)*c_n - q^2*c_(n-1),
+      which for pi is (y^2, w^2) mod 2.  phi = mod-2 reduction o lift
+      is additive and multiplicative on polynomials in Y and W: no rule
+      of the bound or the full ring rewrites a monomial in Y and W alone,
+      and Y, W have the same orders in both rings.  With phi(Y) = y^2,
+      phi(W) = w^2, phi(Pi_0) = pi_0 and phi(Pi_1) = pi_2 the lemma
+      applies.
+    """
+    from d8index.homs import MOD2_REDUCTION, lift_bound_to_full, restriction
+    h1 = get_ring("H1_F2")
+    a, b = h1.gen("a"), h1.gen("b")
+    y, w = D8.gen("y"), D8.gen("w")
+    res = restriction("D8", "H1", "F2")
+    assert res(y) == b and res(w) == a * (a + b)
+    assert res(pi_in_d8(0)) == rho_poly(0) and res(pi_in_d8(1)) == rho_poly(1)
+    assert a * a == b * a + a * (a + b)
+    assert (a + b) ** 2 == b * (a + b) + a * (a + b)
+
+    full = get_ring("D8_Z_FULL")
+    for ring in (BOUND, full):
+        yw = {ring.gens.index("Y"), ring.gens.index("W")}
+        assert all(any(e for i, e in enumerate(pattern) if i not in yw)
+                   for pattern, _ in ring.relations), ring.name
+        assert [ring.orders[ring.gens.index(s)] for s in "YW"] == [2, 4]
+
+    def phi(e):
+        return MOD2_REDUCTION["D8"](lift_bound_to_full(e))
+
+    assert phi(BOUND.gen("Y")) == y * y and phi(BOUND.gen("W")) == w * w
+    assert phi(capital_pi_poly(0)) == pi_in_d8(0)
+    assert phi(capital_pi_poly(1)) == pi_in_d8(2)
+
+
 def test_full_index_restriction_images():
     assert full_index_restriction_images_hold()
 

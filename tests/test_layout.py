@@ -1,13 +1,17 @@
 """Module hygiene of the package source, and its README example."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import d8index
+from d8index.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "d8index"
@@ -46,16 +50,16 @@ def test_every_exported_name_resolves():
 # the public API of the package: a change to this set is an API change
 PUBLIC_NAMES = set("""
 AdmissibilityVerdict BoundReport CATALOG ElementParseError F2_DIAGRAM
-GradedSlice MOD2_REDUCTION RestrictionDiagram RingElement RingHom
+MOD2_REDUCTION RestrictionDiagram RingElement RingHom
 RingMismatchError RingPresentation YW_F2 Z_DIAGRAM admissible admissible_z
-bound_report capital_pi_poly check_reduction_cube contains_by_enumeration
+bound_report capital_pi_poly check_reduction_cube
 get_ring graded_ideal_slice ideal_contains
 ideal_subset index_h1_z_product index_join
 index_product_spheres_f2 index_product_spheres_z index_rep_sphere_z2k
 index_sphere_r4j_f2 index_sphere_r4j_z join_scheme_obstruction
 lift_bound_to_full lucas_binom_mod2 min_certified_d mvz_upper pi_in_d8 pi_poly
 ramos_lower restriction rho_poly slice_intersection_is_zero
-verify_inclusion_power_case verify_inclusion_steps verify_membership_transfer
+span_contains_by_enumeration verify_inclusion_power_case verify_inclusion_steps verify_membership_transfer
 """.split())
 
 
@@ -73,9 +77,8 @@ def test_package_exports_are_the_objects_their_modules_export():
 
 # exported names that no module under src reads, each kept on purpose
 LIBRARY_ONLY = {
-    "get_ring",                 # the library entry point the README shows
-    "contains_by_enumeration",  # the reference oracle tests compare against
-    "admissible_z",             # the literal_inclusion reading kept on ROADMAP
+    "get_ring",      # the library entry point the README shows
+    "admissible_z",  # the literal_inclusion reading kept on ROADMAP
 }
 
 
@@ -143,12 +146,12 @@ def _names_reached(defs, name):
 
 def test_enumeration_oracle_shares_only_the_prelude_and_encoder_with_the_deciders():
     """The brute-force oracle stays independent of the elimination path.
-    Both of its entry points run the deciders' prelude
+    Its one entry point runs the deciders' prelude
     (`_membership_instance`, which encodes with `element_vector`) and
-    then the one subgroup closure (`_closure_contains`), and neither
-    reads anything `poly` imports from `linalg` or spans with
-    `ideal_slice_vectors`, directly or through another `poly` function;
-    nor does `graded_ideal_slice`, which spans for the oracle."""
+    then its own subgroup closure, and reads nothing `poly` imports from
+    `linalg` and never spans with `ideal_slice_vectors`, directly or
+    through another `poly` function; nor does `graded_ideal_slice`,
+    which spans for the oracle."""
     tree = ast.parse((SRC / "poly.py").read_text())
     solver = {"linalg"} | {alias.asname or alias.name for node in tree.body
                            if isinstance(node, ast.ImportFrom)
@@ -156,13 +159,11 @@ def test_enumeration_oracle_shares_only_the_prelude_and_encoder_with_the_decider
     assert len(solver) > 1  # the guard reads what poly imports today
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    shared = {"_membership_instance", "_closure_contains"}
     assert "element_vector" in _names_reached(defs, "_membership_instance")
-    for entry in ("span_contains_by_enumeration", "contains_by_enumeration"):
-        oracle = _names_reached(defs, entry)
-        assert shared <= oracle, entry
-        assert not oracle & solver, entry
-        assert "ideal_slice_vectors" not in oracle, entry
+    oracle = _names_reached(defs, "span_contains_by_enumeration")
+    assert "_membership_instance" in oracle
+    assert not oracle & solver
+    assert "ideal_slice_vectors" not in oracle
     assert "ideal_slice_vectors" not in _names_reached(defs, "graded_ideal_slice")
 
 
@@ -225,3 +226,36 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S)
     assert block
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def _readme_cli_examples():
+    """(argv, shown output lines) for each `d8index ...` line of README's
+    CLI block; the indented lines under a command are its output."""
+    cli = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", cli, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("d8index "):
+            command = line.split("#", 1)[0]
+            examples.append((shlex.split(command)[1:], []))
+        elif line.startswith("  ") and examples:
+            examples[-1][1].append(line.strip())
+    return examples
+
+
+def test_readme_cli_examples_print_what_they_show():
+    examples = _readme_cli_examples()
+    assert len(examples) == 6 and sum(bool(shown) for _, shown in examples) == 5
+    for argv, shown in examples:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        lines = out.getvalue().splitlines()
+        assert lines, argv
+        if shown:  # a JSON line ending in `...}` is shown up to that point
+            assert len(lines) == len(shown), argv
+            for got, want in zip(lines, shown):
+                if want.endswith("...}"):
+                    assert got.startswith(want[:-4]), argv
+                else:
+                    assert got == want, argv

@@ -7,8 +7,7 @@ import pytest
 from d8index import poly
 from d8index.bounds import bound_report
 from d8index.linalg import z4_in_span
-from d8index.poly import (GradedSlice, _common_ring, contains_by_enumeration,
-                          element_vector, graded_ideal_slice, graded_slice,
+from d8index.poly import (GradedSlice, _common_ring, element_vector, graded_ideal_slice, graded_slice,
                           ideal_contains, ideal_slice_vectors, ideal_subset,
                           slice_intersection_is_zero,
                           span_contains_by_enumeration)
@@ -21,6 +20,14 @@ D8 = get_ring("D8_F2")
 
 def _yw(text):
     return YW_F2.parse(text)
+
+
+def _enumerate_ideal(gens, f):
+    """The enumeration oracle on the ideal <gens>: its span of f's degree
+    in ring arithmetic, or `gens` itself when f = 0, where no degree is
+    defined and the oracle only checks the generators."""
+    span = graded_ideal_slice(gens, f.degree()) if f else gens
+    return span_contains_by_enumeration(span, f)
 
 
 def test_graded_ideal_slice_examples():
@@ -36,7 +43,7 @@ def test_graded_ideal_slice_rejects_inhomogeneous():
         graded_ideal_slice([_yw("y+w")], 3)
 
 
-@pytest.mark.parametrize("decide", [ideal_contains, contains_by_enumeration])
+@pytest.mark.parametrize("decide", [ideal_contains, _enumerate_ideal])
 def test_deciders_reject_inhomogeneous(decide):
     """An inhomogeneous generator raises for f = 0 and for f != 0, in or
     past the slice degree, and so does an inhomogeneous target."""
@@ -221,17 +228,16 @@ def test_ideal_contains_ring_mismatch():
 
 
 def test_enumeration_keeps_the_membership_input_checks():
-    assert contains_by_enumeration([_yw("y^2")], YW_F2.zero())
+    assert _enumerate_ideal([_yw("y^2")], YW_F2.zero())
     with pytest.raises(ValueError):
-        contains_by_enumeration([_yw("y^2")], YW_F2.one())
+        _enumerate_ideal([_yw("y^2")], YW_F2.one())
     with pytest.raises(RingMismatchError):
-        contains_by_enumeration([_yw("y")], D8.gen("y"))
+        _enumerate_ideal([_yw("y")], D8.gen("y"))
 
 
 def test_enumeration_over_a_given_span():
-    """`contains_by_enumeration` is `span_contains_by_enumeration` over
-    `graded_ideal_slice`; the span may be any list of elements of f's
-    ring and degree."""
+    """The span may be any list of elements of f's ring and degree, not
+    only the `graded_ideal_slice` of an ideal."""
     full = get_ring("D8_Z_FULL")
     W, X = full.gen("W"), full.gen("X")
     assert span_contains_by_enumeration([2 * W], 2 * W)
@@ -250,7 +256,7 @@ def test_enumeration_over_a_given_span():
             span = graded_ideal_slice(gens, degree)
             if f and len(span) <= 8:
                 assert (span_contains_by_enumeration(span, f)
-                        == contains_by_enumeration(gens, f)
+                        == _enumerate_ideal(gens, f)
                         == ideal_contains(gens, f))
 
 
@@ -399,7 +405,7 @@ def test_oracle_agreement_sample(ring_name, degree_cap):
             continue
         if len(graded_ideal_slice(gens, degree)) > 8:
             continue
-        assert ideal_contains(gens, f) == contains_by_enumeration(gens, f)
+        assert ideal_contains(gens, f) == _enumerate_ideal(gens, f)
 
 
 @pytest.mark.parametrize("ring_name", ["YW_F2", "D8_F2"])

@@ -56,6 +56,27 @@ def test_normal_form_examples():
     assert zz.parse("mu^2") == zz.parse("tau1^2*tau2+tau1*tau2^2")
 
 
+@pytest.mark.parametrize("name, sym", [("H1_Z", "mu"), ("H3_Z", "eta"),
+                                       ("Z2xZ2_Z", "mu")])
+def test_two_term_rule_rewrites_a_power_in_polynomial_steps(name, sym, monkeypatch):
+    """Rewriting sym^2 -> two terms one raw term at a time fans sym^(2k)
+    out into 2^k terms, one rewrite each; adding up equal monomials in
+    each round leaves at most k + 1 a round."""
+    ring = get_ring(name)
+    rewrite, calls = RingPresentation._rewrite, []
+
+    def counted(*args):
+        calls.append(args)
+        return rewrite(*args)
+
+    monkeypatch.setattr(RingPresentation, "_rewrite", staticmethod(counted))
+    power = ring.parse(f"{sym}^24")
+    assert len(calls) <= 13 * 14 // 2
+    monkeypatch.undo()
+    assert power == ring.parse(f"{sym}^2") ** 12
+    assert ring.parse(f"{sym}^602") == ring.parse(f"{sym}^2") ** 301
+
+
 def test_coefficient_orders():
     full = get_ring("D8_Z_FULL")
     assert full.monomial_order((0, 0, 0, 2)) == 4   # W^2
@@ -373,6 +394,18 @@ def test_parse_errors():
     for bad in ["", "y+", "q^2", "y^", "x**2", "2.5*x"]:
         with pytest.raises(ElementParseError):
             d8.parse(bad)
+
+
+def test_parse_reports_overlong_integers():
+    """A coefficient or exponent past the interpreter's int-conversion
+    digit limit is a parse error naming the factor, not a bare
+    ValueError from int()."""
+    d8 = get_ring("D8_F2")
+    for text in ("1" * 5000 + "*x", "x^" + "1" * 5000):
+        with pytest.raises(ElementParseError, match="too long") as info:
+            d8.parse(text)
+        assert type(info.value) is ElementParseError
+        assert text.split("*")[0][:20] in str(info.value)
 
 
 def test_h3_display_names():
