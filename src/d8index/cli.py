@@ -11,12 +11,12 @@ reader (the usual code for SIGPIPE).
 """
 
 import argparse
-import json
+import functools
 import os
 import sys
 
 from . import bounds as bounds_mod
-from . import indexes, verify
+from . import indexes
 from .rings import ElementParseError
 
 SCHEMA = "1"
@@ -26,8 +26,17 @@ _CRITERION_OF_COEFF = {coeff: name for name, coeff
 
 TABLE_COLUMNS = ("j", "ramos", "mvz", "f2_min_d", "z_min_d", "h1_min_d")
 
+# `verify.SUITE_NAMES` plus "all", spelled out so that building the parser
+# does not load `verify`; tests/test_cli.py pins the two together
+SUITE_CHOICES = ("lemmas", "diagram", "indexes", "oracle", "all")
+
+# the largest `verify --max-degree`: the indexes suite takes about 8 s
+# at degree 1,024 and grows faster than linearly past it
+MAX_VERIFY_DEGREE = 1024
+
 
 def _emit_json(payload):
+    import json
     print(json.dumps(payload))
 
 
@@ -77,6 +86,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
+    from . import verify
     checks = verify.run_suite(args.suite, args.max_degree)  # argparse checked the name
     failed = 0
     for check in checks:
@@ -146,6 +156,15 @@ def _positive(value):
     return number
 
 
+@functools.wraps(_positive)  # argparse names the type in its message for a non-integer
+def _verify_degree(value):
+    number = _positive(value)
+    if number > MAX_VERIFY_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_VERIFY_DEGREE}, got {number}")
+    return number
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="d8index",
@@ -171,9 +190,8 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITE_NAMES + ("all",),
-                   required=True)
-    p.add_argument("--max-degree", type=_positive, default=None)
+    p.add_argument("--suite", choices=SUITE_CHOICES, required=True)
+    p.add_argument("--max-degree", type=_verify_degree, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("poly", help="print a member of a polynomial family")

@@ -17,6 +17,7 @@ It is algebra only: packed degree slices and their cache live in `poly`.
 """
 
 import re
+import sys
 from operator import add, mul, sub
 
 __all__ = [
@@ -318,7 +319,9 @@ class RingPresentation:
 
     def parse(self, text):
         """Parse the element grammar: terms joined by `+`, each term a
-        `*`-separated product of an optional integer and powers sym^k."""
+        `*`-separated product of an optional integer and powers sym^k.
+        An integer, or a coefficient of the normal form, too long to
+        print (`sys.get_int_max_str_digits`) is an ElementParseError."""
         text = text.strip()
         if not text:
             raise ElementParseError("empty element")
@@ -348,7 +351,17 @@ class RingPresentation:
                 mono[i] += _parse_int(exp, factor) if exp else 1
             key = tuple(mono)
             terms[key] = terms.get(key, 0) + coeff
-        return self.element(terms)
+        element = self.element(terms)
+        # printing refuses an int of more digits than the interpreter's
+        # limit (0, or no such function before Python 3.10.7: none), so
+        # the parse refuses it; an int of at most 3 * limit bits is
+        # below 10^limit, which spares the power
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        for c in element.terms.values():
+            if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
+                raise ElementParseError(
+                    f"coefficient of more than {limit} digits in {text[:20]!r}...")
+        return element
 
     def format_monomial(self, mono, coeff):
         factors = []

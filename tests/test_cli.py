@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import d8index
-from d8index.cli import main
+from d8index.cli import build_parser, main
 from d8index.rings import YW_F2, get_ring
 
 
@@ -218,6 +219,27 @@ def test_restrict_overlong_integer_is_a_parse_error(capsys):
         assert err.startswith("integer too long in factor")
 
 
+def test_restrict_overlong_coefficient_is_a_parse_error(capsys):
+    # every integer fits the digit limit, but the normal form's degree-0
+    # coefficient does not, so printing it would fail (exit 2)
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    for element in ("9" * 3000 + "*" + "9" * 3000, nines + "+" + nines,
+                    nines + "+1"):
+        code, out, err = run(capsys, "restrict", "--from", "D8", "--to", "D8",
+                             "--coeff", "z", "--element", element)
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"coefficient of more than {limit} digits")
+    # the largest coefficient of `limit` digits still prints
+    code, out, _ = run(capsys, "restrict", "--from", "D8", "--to", "D8",
+                       "--coeff", "z", "--element", nines)
+    assert code == 0 and out == nines + "\n"
+    # an F2 ring reduces the coefficient before anything is printed
+    code, out, err = run(capsys, "restrict", "--from", "D8", "--to", "D8",
+                         "--coeff", "f2", "--element", f"{nines}*{nines}*x")
+    assert (code, out, err) == (0, "x\n", "")
+
+
 def test_option_value_of_two_dashes_is_a_usage_error(capsys):
     # argparse (3.11) gives `--opt=--` the value [], which no verb takes
     for argv in (["restrict", "--from", "D8", "--to", "H1", "--coeff", "f2",
@@ -279,10 +301,62 @@ def test_verify_diagram_with_max_degree(capsys):
                        "--max-degree", "3")
     assert code == 0
     assert "have equal generator images" in out
-    for bad in ("0", "banana"):
+    # the parser refuses values outside 1..1024 before any suite runs
+    for bad in ("0", "banana", "1025"):
         code, out, err = run(capsys, "verify", "--suite", "diagram",
                              "--max-degree", bad)
         assert code == 2 and err and not out
+
+
+def test_verify_suite_choices_are_the_verify_suites():
+    from d8index import verify
+    parser = build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in verbs.choices["verify"]._actions
+                 if a.dest == "suite")
+    assert suite.choices == verify.SUITE_NAMES + ("all",)
+
+
+# argparse 3.11 at COLUMNS=80; the parser builds without loading `verify`,
+# and its help must not change for that
+HELP_TEXT = """\
+usage: d8index [-h] {admissible,bounds,table,verify,poly,restrict,ideal} ...
+
+Exact index computations for two-hyperplane mass partitions under the dihedral
+symmetry group of order 8.
+
+positional arguments:
+  {admissible,bounds,table,verify,poly,restrict,ideal}
+    admissible          evaluate one admissibility criterion
+    bounds              bound report for one value of j
+    table               bound table for j = 1..j_max
+    verify              run a verification suite
+    poly                print a member of a polynomial family
+    restrict            apply a restriction homomorphism
+    ideal               print the generators of an index ideal
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERIFY_HELP_TEXT = """\
+usage: d8index verify [-h] --suite {lemmas,diagram,indexes,oracle,all}
+                      [--max-degree MAX_DEGREE]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {lemmas,diagram,indexes,oracle,all}
+  --max-degree MAX_DEGREE
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], HELP_TEXT),
+                                        (["verify", "--help"], VERIFY_HELP_TEXT)],
+                         ids=["help", "verify help"])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (0, text, "")
 
 
 def test_verify_indexes_suite(capsys):
@@ -305,26 +379,37 @@ def test_missing_subcommand(capsys):
 
 # Run in a fresh interpreter: the modules it loads after the snapshot are
 # the ones `cli.main(argv)` needs, whatever the host's site preloads.
+# the snapshot comes first, so that the probe sees every module the
+# verb loads, `json` included; the probe imports `json` only to report
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
+import contextlib, io
 from d8index.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, loaded]))
 """
 
-HEAVY_MODULES = {"dataclasses", "inspect", "csv", "d8index.homs"}
+HEAVY_MODULES = {"dataclasses", "inspect", "csv", "d8index.homs", "d8index.verify"}
 
-LEAN_ARGVS = [
-    ["--help"],
+JSON_ARGVS = [
     *(["admissible", "--d", "2", "--j", "1", "--coeff", c] for c in ("f2", "z", "h1f2")),
     ["bounds", "--j", "3"],
     ["table", "--j-max", "3", "--format", "json"],
+]
+
+# verbs that print no JSON load no `json` either
+TEXT_ARGVS = [
+    ["--help"],
     ["table", "--j-max", "3", "--format", "text"],
     ["poly", "--family", "Pi", "--d", "5"],
     ["ideal", "--name", "b_ideal", "--d", "3"],
 ]
+
+LEAN_ARGVS = JSON_ARGVS + TEXT_ARGVS
 
 
 def _modules_loaded_by(argv):
@@ -342,13 +427,16 @@ def _modules_loaded_by(argv):
 def test_verb_loads_no_heavy_module(argv):
     loaded = _modules_loaded_by(argv)
     assert "d8index.cli" in loaded
-    assert loaded & HEAVY_MODULES == set()
+    heavy = HEAVY_MODULES if argv in JSON_ARGVS else HEAVY_MODULES | {"json"}
+    assert loaded & heavy == set()
 
 
 @pytest.mark.parametrize("argv, needed", [
     (["restrict", "--from", "D8", "--to", "H1", "--coeff", "f2", "--element", "w"],
      "d8index.homs"),
     (["verify", "--suite", "diagram"], "d8index.homs"),
+    (["verify", "--suite", "lemmas"], "d8index.verify"),
+    (["bounds", "--j", "3"], "json"),
     (["table", "--j-max", "3", "--format", "csv"], "csv"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_verb_loads_what_it_uses(argv, needed):
