@@ -330,21 +330,13 @@ def verify_inclusion_power_case(q):
 
 def verify_inclusion_steps(j_top, d_top):
     """Check every step instance with j <= j_top and d <= d_top: A_j in
-    B_d implies A_(j+1) in B_(d+1).
-
-    Each inclusion A_j in B_d with j <= j_top + 1 and d <= d_top + 1 is
-    decided once, one generator of A_j at a time across every d, so all
-    the verdicts at one generator's degree share one graded slice.  As
-    in `ideal_subset`, a generator is tested against B_d only while the
-    generators before it lie in B_d."""
+    B_d implies A_(j+1) in B_(d+1).  Each inclusion A_j in B_d with
+    j <= j_top + 1 and d <= d_top + 1 is decided once, with each A_j and
+    each B_d built once."""
     _check_positive(j_top=j_top, d_top=d_top)
+    a = [index_sphere_r4j_z(j) for j in range(1, j_top + 2)]
     b = [index_product_spheres_z(d) for d in range(1, d_top + 2)]
-    inside = []  # inside[j - 1][d - 1]: A_j in B_d
-    for j in range(1, j_top + 2):
-        row = [True] * len(b)
-        for g in index_sphere_r4j_z(j):
-            row = [ok and ideal_contains(b_d, g) for ok, b_d in zip(row, b)]
-        inside.append(row)
+    inside = [[ideal_subset(a_j, b_d) for b_d in b] for a_j in a]  # [j-1][d-1]
     return all(inside[i + 1][k + 1] or not inside[i][k]
                for i in range(j_top) for k in range(d_top))
 

@@ -3,8 +3,8 @@
 Every ideal handled here is homogeneous and every graded piece of every
 ring is a finite group (+) Z/o_i with o_i in {2, 4} (an F2 slice is the
 case where every o_i is 2), so membership is exact linear algebra on the
-degree slice, a `GradedSlice`, of which `graded_slice` keeps each ring's
-most recent one.  `element_vector`, the one encoder, packs an element
+degree slice, a `GradedSlice`, of which `graded_slice` keeps the most
+recently used few.  `element_vector`, the one encoder, packs an element
 over its bit map `index` as two bitplanes (lo, hi), with `hi` masked by
 its order-4 mask `mask4`.  The deciders span an ideal slice with
 `ideal_slice_vectors`, which builds those packed vectors of the products
@@ -23,6 +23,7 @@ of the span under its own bitplane addition until the target appears
 or the span is used up, and never touches the elimination code paths.
 """
 
+from functools import lru_cache
 from operator import add, lshift
 
 from .linalg import z4_in_span, z4_log2_order
@@ -74,18 +75,18 @@ class GradedSlice:
         return len(self.basis)
 
 
-_SLICES = {}  # ring -> its most recently used slice
+SLICE_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
 def graded_slice(ring, degree):
-    """The ring's slice of the degree.  Each ring keeps its most recently
-    used slice, so memory stays bounded and the verdicts at one degree
-    share one slice and memo; one slot for all rings would rebuild 112
-    slices for `bound_report(j)` over j <= 32, not 96."""
-    slice_ = _SLICES.get(ring)
-    if slice_ is None or slice_.degree != degree:
-        slice_ = _SLICES[ring] = GradedSlice(ring, degree)
-    return slice_
+    """The ring's slice of the degree, kept with its memo among the
+    `SLICE_CACHE_SIZE` most recently used (ring, degree) pairs, so memory
+    stays bounded and every verdict at one degree shares one slice.  The
+    enumeration oracle cycles through at most 9 degrees of one ring (a Z
+    ring, degrees 2..10), and a table scan keeps at most 4 pairs live per
+    j, so neither rebuilds a slice it still uses."""
+    return GradedSlice(ring, degree)
 
 
 def graded_ideal_slice(gens, degree):

@@ -3,7 +3,7 @@ from bisect import bisect_left
 import pytest
 from test_acceptance import h1_closed_form_min_d, z_closed_form_min_d
 
-from d8index import bounds
+from d8index import bounds, poly
 from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict,
                             admissible, admissible_z, bound_report,
                             criterion_chain_step, criterion_chains_shrink,
@@ -271,8 +271,19 @@ def _wbar(top):
 
 
 def test_pi_is_y_times_wbar():
+    """pi_d = y*wbar_(d-1) for every d >= 1, by recurrence transfer
+    (`tests/test_indexes.py`): a_n = wbar_n and b_n = pi_(n+1) both obey
+    x_(n+1) = y*x_n + w*x_(n-1), wbar by definition and pi by Pascal's
+    rule.  YW_F2 has no rewrite rule, so it is the commutative ring
+    F2[y,w] and f(x) = y*x is additive with f(y*x) = y*f(x) and
+    f(w*x) = w*f(x): f carries a solution of the recurrence to a
+    solution.  The base terms f(wbar_0) = pi_1 and f(wbar_1) = pi_2 then
+    give f(wbar_n) = pi_(n+1) for every n.  The sweep to d = 128 checks
+    the statement itself."""
     wbar = _wbar(127)
-    y = YW_F2.gen("y")
+    y, w = YW_F2.gen("y"), YW_F2.gen("w")
+    assert YW_F2.relations == () and y * w == w * y
+    assert pi_poly(1) == y * wbar[0] and pi_poly(2) == y * wbar[1]
     for d in range(1, 129):
         assert pi_poly(d) == y * wbar[d - 1], d
 
@@ -399,17 +410,18 @@ def _inclusion_step(j, d):
 
 def test_inclusion_step_examples(monkeypatch):
     """`verify_inclusion_steps(12, 24)` decides every inclusion A_j in B_d
-    as `ideal_subset` does on its own, so each step reads as
-    `_inclusion_step` does: the memberships it asks for are recorded and
-    replayed pair by pair."""
+    by `ideal_subset`, so each step reads as `_inclusion_step` does: the
+    memberships `ideal_subset` asks `poly.ideal_contains` for are
+    recorded and replayed pair by pair."""
     decided = {}
 
     def recorded(gens, f):
         decided[tuple(gens), f] = verdict = ideal_contains(gens, f)
         return verdict
 
-    monkeypatch.setattr(bounds, "ideal_contains", recorded)
-    assert verify_inclusion_steps(12, 24)
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "ideal_contains", recorded)
+        assert verify_inclusion_steps(12, 24)
 
     def inside(j, d):
         b = index_product_spheres_z(d)

@@ -123,26 +123,32 @@ def test_graded_slice_orders():
 
 
 def test_graded_slice_is_reused_at_one_degree():
-    """A ring's most recently used slice is returned again for its
-    degree; another degree of that ring replaces it, another ring's slice
-    does not."""
+    """A slice is returned again after asks of other rings and degrees,
+    and rebuilt only once `graded_slice` has been asked for as many other
+    (ring, degree) pairs as it keeps: memory stays bounded."""
+    graded_slice.cache_clear()
     ring = get_ring("D8_Z_FULL")
     s9 = graded_slice(ring, 9)
+    assert s9.degree == 9 and s9.basis == tuple(ring.monomials(9))
     assert graded_slice(ring, 9) is s9
-    s8 = graded_slice(ring, 8)
-    assert s8.degree == 8 and graded_slice(ring, 8) is s8
-    assert graded_slice(ring, 9) is not s9
-    s9 = graded_slice(ring, 9)
-    assert s9.basis == tuple(ring.monomials(9))
+    graded_slice(ring, 8)
     graded_slice(D8, 4)
     assert graded_slice(ring, 9) is s9
+    size = graded_slice.cache_info().maxsize
+    assert size == poly.SLICE_CACHE_SIZE == 16
+    others = [(r, n) for r in (ring, D8) for n in range(10, 20)][:size - 1]
+    for other in others:
+        graded_slice(*other)
+    assert graded_slice(ring, 9) is s9  # size - 1 other pairs: still kept
+    for other in others + [(BOUND, 3)]:
+        graded_slice(*other)
+    assert graded_slice(ring, 9) is not s9  # size other pairs: rebuilt
 
 
 def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
-    """One slot per ring builds no more slices than two did: `F2_D8` and
-    `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2 and then 3j+3
-    at odd j, and the next, even, j finds 3j+3 in the slot."""
-    monkeypatch.setattr(poly, "_SLICES", {})
+    """`F2_D8` and `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2
+    and 3j+3 at odd j, and the next, even, j finds 3j+3 still kept."""
+    graded_slice.cache_clear()
     built = []
     init = GradedSlice.__init__
 
@@ -184,8 +190,7 @@ def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
                 for i, gens in enumerate((first, second)) for f in fs}
     assert len(set(expected.values())) == 2
     for order in ((0, 1), (1, 0), (0, "other", 1), (1, "other", 0)):
-        # a ring keeps one slice: evict it, so every order starts afresh
-        graded_slice(ring, degree - 1)
+        graded_slice.cache_clear()  # every order starts afresh
         for step in order:
             if step == "other":
                 ideal_contains(first + second, g)
