@@ -4,9 +4,10 @@ Every ideal handled here is homogeneous and every graded piece of every
 ring is a finite group (+) Z/o_i with o_i in {2, 4} (an F2 slice is the
 case where every o_i is 2), so membership is exact linear algebra on the
 degree slice, a `GradedSlice`, of which `graded_slice` keeps the most
-recently used few.  `element_vector`, the one encoder, packs an element
-over its bit map `index` as two bitplanes (lo, hi), with `hi` masked by
-its order-4 mask `mask4`.  The deciders span an ideal slice with
+recently used few; its `basis` is the one cached monomial list.
+`element_vector`, the one encoder, packs an element over its bit map
+`index` as two bitplanes (lo, hi), with `hi` masked by its order-4
+mask `mask4`.  The deciders span an ideal slice with
 `ideal_slice_vectors`, which builds those packed vectors of the products
 m * g directly from monomial keys and the slice's memo of
 single-monomial normal forms, with no `RingElement` product.  Every
@@ -81,11 +82,12 @@ SLICE_CACHE_SIZE = 16
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def graded_slice(ring, degree):
     """The ring's slice of the degree, kept with its memo among the
-    `SLICE_CACHE_SIZE` most recently used (ring, degree) pairs, so memory
-    stays bounded and every verdict at one degree shares one slice.  The
-    enumeration oracle cycles through at most 9 degrees of one ring (a Z
-    ring, degrees 2..10), and a table scan keeps at most 4 pairs live per
-    j, so neither rebuilds a slice it still uses."""
+    `SLICE_CACHE_SIZE` most recently used (ring, degree) pairs: the
+    package's one per-degree cache, whose `basis` every repeated monomial
+    list is read from (targets, multiplier degrees, random draws), so
+    memory stays bounded and every verdict at one degree shares one
+    slice.  The oracle reads at most 11 degrees of one ring and one
+    `bound_report` at most 12 pairs, so neither rebuilds a slice it uses."""
     return GradedSlice(ring, degree)
 
 
@@ -105,7 +107,7 @@ def graded_ideal_slice(gens, degree):
         if mdeg < 0:
             continue
         terms = g.terms.items()
-        for mono in ring.monomials(mdeg):
+        for mono in graded_slice(ring, mdeg).basis:
             prod = RingElement(ring, ring.normal_form(
                 {tuple(map(add, mono, t)): c for t, c in terms}))
             if prod:
@@ -154,7 +156,7 @@ def ideal_slice_vectors(gens, slice_):
         if mdeg < 0:
             continue
         terms = [(key(t), c & 3) for t, c in g.terms.items() if c & 3]
-        for mono in ring.monomials(mdeg):
+        for mono in graded_slice(ring, mdeg).basis:
             base = key(mono)
             lo = hi = 0
             for tk, c in terms:

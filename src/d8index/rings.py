@@ -13,7 +13,8 @@ order 2; the degree-0 monomial is not reduced at all (H^0 = Z).
 
 The module ends with the catalog of the cohomology rings of D8 and its
 subgroups, for both coefficient systems, keyed by stable identifiers.
-It is algebra only: packed degree slices and their cache live in `poly`.
+It is algebra only and keeps no per-degree state: packed degree slices,
+and the one cache of monomial lists, live in `poly`.
 """
 
 import re
@@ -126,7 +127,6 @@ class RingPresentation:
         # factors print in descending generator degree, ties by position
         self._print_order = sorted(range(len(self.gens)),
                                    key=lambda i: (-self.degrees[i], i))
-        self._mono_cache = {}
         # equality is structural: the name is only a catalog label
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
@@ -282,16 +282,11 @@ class RingPresentation:
 
     def monomials(self, degree):
         """Normal-form monomials of the degree (the staircase: those no
-        rule pattern divides), in descending lex order.  Each degree's
-        list is cached for the life of the ring: `verify --suite all`
-        asks 73,075 times for 267 lists, and ran about 40% longer
-        without the cache when it asked 73,861 times for 265 (2-core
-        host, median of 7 processes)."""
-        cached = self._mono_cache.get(degree)
-        if cached is None:
-            cached = self._exponent_walk(degree, staircase=True)[::-1]
-            self._mono_cache[degree] = cached
-        return list(cached)
+        rule pattern divides), in descending lex order, walked afresh on
+        every call: the ring keeps no per-degree state, and a caller that
+        asks for one degree again reads `poly.graded_slice(ring,
+        degree).basis`, the same list as a tuple."""
+        return self._exponent_walk(degree, staircase=True)[::-1]
 
     # -- element constructors --------------------------------------------
 

@@ -15,7 +15,8 @@ import random
 from collections import namedtuple
 
 from . import bounds, indexes
-from .poly import graded_ideal_slice, ideal_contains, span_contains_by_enumeration
+from .poly import (graded_ideal_slice, graded_slice, ideal_contains,
+                   span_contains_by_enumeration)
 from .rings import CATALOG, H1_F2, RingElement, YW_F2
 
 __all__ = ["Check", "ORACLE_INSTANCES", "SUITE_NAMES", "run_suite",
@@ -154,10 +155,11 @@ def suite_indexes(max_degree=64):
 
 def random_homogeneous(ring, degree, rng, max_terms=3):
     """Random homogeneous element of the given degree, zero only when the
-    degree piece vanishes.  The monomials come from `ring.monomials` and
-    are normal already, so one `normal_form` reduces the drawn
-    coefficients."""
-    monos = ring.monomials(degree)
+    degree piece vanishes.  The monomials are the basis of the degree's
+    slice, `graded_slice(ring, degree)`, kept with the slices the oracle
+    then decides on, and are normal already, so one `normal_form`
+    reduces the drawn coefficients."""
+    monos = graded_slice(ring, degree).basis
     if not monos:
         return ring.zero()
     count = rng.randint(1, min(max_terms, len(monos)))

@@ -155,6 +155,43 @@ def test_reduction_cube_can_fail(monkeypatch):
     assert failed == {"cube H2->K3"}
 
 
+# Universal coefficients: for n >= 1, 0 -> H^n(G;Z) (x) F2 -> H^n(G;F2)
+# -> Tor(H^(n+1)(G;Z), F2) -> 0, the first map being the reduction c_G.
+# Every positive-degree normal monomial of a Z ring spans one cyclic
+# summand Z/2 or Z/4, so with s(n) the number of degree-n normal monomials
+# of the Z ring, each tensor and Tor term has F2-dimension s(n), s(n + 1).
+# The catalog rings and maps are entered by hand; these check them against
+# each other, independently of the deciders.  A mismatch is a catalog bug.
+UCT_PAIRS = {**{group: (hom.codomain, hom.domain)
+                for group, hom in MOD2_REDUCTION.items()},
+             "Z2": (get_ring("Z2_F2"), get_ring("Z2_Z"))}
+
+
+@pytest.mark.parametrize("group", sorted(UCT_PAIRS))
+def test_f2_slices_count_the_universal_coefficient_summands(group):
+    """dim H^n(G;F2) = s(n) + s(n + 1) for 1 <= n < 80."""
+    f2, z = UCT_PAIRS[group]
+    s = [len(z.monomials(n)) for n in range(81)]
+    for n in range(1, 80):
+        assert len(f2.monomials(n)) == s[n] + s[n + 1], (group, n)
+
+
+@pytest.mark.parametrize("group", sorted(MOD2_REDUCTION))
+def test_mod2_reduction_has_rank_s_n(group):
+    """c_G is injective on H^n(G;Z) (x) F2 for 1 <= n <= 40: the images of
+    the degree-n normal monomials of the Z ring are nonzero and their
+    leading monomials (the largest exponent tuple, first in the slice
+    order) are pairwise distinct, so the images are independent over F2
+    by triangularity and the rank is s(n)."""
+    hom = MOD2_REDUCTION[group]
+    z = hom.domain
+    for n in range(1, 41):
+        images = [hom(z.element({m: 1})) for m in z.monomials(n)]
+        assert all(images), (group, n)
+        leads = {max(image.terms) for image in images}
+        assert len(leads) == len(images), (group, n)
+
+
 def test_full_to_bound_and_lift():
     assert FULL_TO_BOUND(FULL.gen("X")) == BOUND.zero()
     assert FULL_TO_BOUND(FULL.gen("W")) == BOUND.gen("W")

@@ -53,6 +53,22 @@ def test_capital_pi_examples():
     assert capital_pi_poly(8) == BOUND.parse("Y^8")
 
 
+def test_doubling_squares_pi_and_capital_pi():
+    """Pi_2n = Pi_n^2 and pi_2n = pi_n^2 for n <= 64, as Lucas' rule
+    proves for every n.  The term w^i y^(2n-2i) of p_2n has coefficient
+    binom(2n-1-i, i) mod 2, which is 0 for odd i (the last binary digit
+    of i is 1, that of 2n-1-i is 0) and binom(n-1-k, k) mod 2 for
+    i = 2k (2n-1-2k = 2(n-1-k) + 1).  So p_2n is the sum of the squares
+    of the terms of p_n.  The cross terms of p_n^2 are 2 * (a monomial
+    divisible by y): 0 in F2[y,w], and 0 in the bound ring, where every
+    Y-divisible monomial has order 2.  With Pi_1 = Y this gives
+    Pi_(2^q) = Y^(2^q) for every q, which the lemmas suite samples to
+    q <= POWERS_OF_TWO_Q."""
+    for n in range(65):
+        assert capital_pi_poly(2 * n) == capital_pi_poly(n) ** 2, n
+        assert pi_poly(2 * n) == pi_poly(n) ** 2, n
+
+
 def test_recurrence_matches_binomial():
     """pi_d, Pi_d and pi_d in H*(D8;F2), written out by Lucas' rule,
     equal the ring-arithmetic recurrence."""

@@ -220,6 +220,21 @@ def test_graded_slices_are_built_only_in_poly():
     assert builders == {"poly"}
 
 
+def test_graded_slice_is_the_only_cache():
+    """`poly.graded_slice` is the package's one memoising decorator, so
+    no other module keeps per-degree state behind the slice LRU."""
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in {"lru_cache", "cache", "cached_property"}:
+                        cached.append((path.stem, node.name))
+    assert cached == [("poly", "graded_slice")]
+
+
 def test_readme_library_example_runs():
     # a public name deleted from the package breaks this, not the reader
     library = (ROOT / "README.md").read_text().split("## Library", 1)[1]

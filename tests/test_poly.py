@@ -1,6 +1,7 @@
 import itertools
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -145,21 +146,28 @@ def test_graded_slice_is_reused_at_one_degree():
     assert graded_slice(ring, 9) is not s9  # size other pairs: rebuilt
 
 
-def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
-    """`F2_D8` and `H1_F2` build degree 3j once per j; `Z_D8` builds 3j+2
-    and 3j+3 at odd j, and the next, even, j finds 3j+3 still kept."""
+def test_bound_reports_up_to_32_build_293_slices(monkeypatch):
+    """Each report reads its target slices and its generators' multiplier
+    degrees from `graded_slice`: one report builds at most 12 slices, none
+    twice, so the cache keeps every slice a report uses.  Across reports
+    the 16 kept pairs are recycled: j = 1..32 build 293 slices over 191
+    distinct (ring, degree) pairs."""
     graded_slice.cache_clear()
     built = []
     init = GradedSlice.__init__
+    current = [0]
 
     def counting_init(self, ring, degree):
-        built.append(degree)
+        built.append((ring.name, degree, current[0]))
         init(self, ring, degree)
 
     monkeypatch.setattr(GradedSlice, "__init__", counting_init)
     for j in range(1, 33):
+        current[0] = j
         bound_report(j)
-    assert len(built) == 96
+    assert len(built) == len(set(built)) == 293
+    assert len({(name, degree) for name, degree, _ in built}) == 191
+    assert max(Counter(j for _, _, j in built).values()) == 12
 
 
 def _fresh_verdict(gens, f):

@@ -1,9 +1,11 @@
+import copy
 import itertools
 import random
 import zlib
 
 import pytest
 
+from d8index.bounds import bound_report
 from d8index.rings import (CATALOG, ElementParseError,
                            RingMismatchError, RingPresentation, YW_F2,
                            get_ring)
@@ -357,6 +359,20 @@ def test_monomial_basis_is_sorted_and_normal():
     assert bound.monomials(1) == []
     assert bound.monomials(0) == [(0, 0, 0)]
     assert all(m[1] <= 1 for m in bound.monomials(12))  # M^2 rewrites away
+
+
+def test_rings_keep_no_per_degree_state():
+    """Listing an unseen degree and running the bound reports to j = 64
+    leave every ring's attributes as they were: the one per-degree cache
+    is `poly.graded_slice`, bounded, and no ring grows a cache of its
+    own."""
+    rings = [*CATALOG.values(), YW_F2]
+    before = [copy.deepcopy(vars(ring)) for ring in rings]
+    for ring in rings:
+        assert ring.monomials(1000)  # no earlier test lists degree 1000
+    for j in range(1, 65):
+        bound_report(j)
+    assert [vars(ring) for ring in rings] == before
 
 
 def test_parse_and_print_round_trip():

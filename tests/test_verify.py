@@ -182,13 +182,15 @@ def test_oracle_decides_each_degree_on_one_slice(oracle_run):
 
 
 def test_oracle_builds_each_ring_degree_slice_once(oracle_run):
-    """The whole oracle, enumeration included, builds one graded slice
-    per (ring, degree) among its instances, 137 of them: 8,287 were built
-    when a ring kept one slice and the enumeration ran in draw order."""
+    """The whole oracle, its draws and its multiplier degrees included,
+    builds one graded slice per (ring, degree) it reads, never one twice:
+    187 slices, degrees 0..8 of each F2 ring and 0..10 of each Z ring."""
     built = oracle_run["slices"]
     pairs = {(f.ring.name, f.degree()) for _, f in oracle_run["instances"]}
-    assert len(built) == len(pairs) == 137
-    assert set(built) == pairs
+    caps = {name: 8 if name.endswith("_F2") else 10 for name, _ in pairs}
+    assert len(built) == len(set(built)) == 187
+    assert set(built) == {(name, n) for name, cap in caps.items()
+                          for n in range(cap + 1)}
 
 
 def test_oracle_verdicts_are_the_recorded_ones(oracle_run):
