@@ -119,11 +119,11 @@ def index_sphere_r4j_z(j):
     for odd j; the full kernel and partial stage 3j+1."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    Y, M, W = (D8_Z_BOUND.gen(s) for s in ("Y", "M", "W"))
+    h = (j + 1) // 2  # each generator is one normal monomial in (Y, M, W)
     if j % 2 == 0:
-        return (Y ** (j // 2) * W ** (j // 2),)
-    return (Y ** ((j + 1) // 2) * W ** ((j - 1) // 2) * M,
-            Y ** ((j + 1) // 2) * W ** ((j + 1) // 2))
+        return (D8_Z_BOUND.element({(h, 0, h): 1}),)
+    return (D8_Z_BOUND.element({(h, 1, h - 1): 1}),
+            D8_Z_BOUND.element({(h, 0, h): 1}))
 
 
 def index_product_spheres_f2(d, kind="partial"):

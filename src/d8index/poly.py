@@ -10,7 +10,9 @@ recently used few; its `basis` is the one cached monomial list.
 mask `mask4`.  The deciders span an ideal slice with
 `ideal_slice_vectors`, which builds those packed vectors of the products
 m * g directly from monomial keys and the slice's memo of
-single-monomial normal forms, with no `RingElement` product.  Every
+single-monomial normal forms, with no `RingElement` product; in a
+strand ring (`RingPresentation.strand`), as every criterion ring is,
+those of one generator are the shifts of one vector.  Every
 decider, for every ring, hands the vectors to one Howell basis
 (`linalg.howell_basis`): membership is a reduction against it, and
 whether two ideal slices meet only in 0 is a count of subgroup orders.
@@ -84,10 +86,11 @@ def graded_slice(ring, degree):
     """The ring's slice of the degree, kept with its memo among the
     `SLICE_CACHE_SIZE` most recently used (ring, degree) pairs: the
     package's one per-degree cache, whose `basis` every repeated monomial
-    list is read from (targets, multiplier degrees, random draws), so
-    memory stays bounded and every verdict at one degree shares one
-    slice.  The oracle reads at most 11 degrees of one ring and one
-    `bound_report` at most 12 pairs, so neither rebuilds a slice it uses."""
+    list is read from (targets, multiplier degrees outside strand rings,
+    random draws), so memory stays bounded and every verdict at one
+    degree shares one slice.  The oracle reads at most 11 degrees of one
+    ring and one `bound_report` at most 4 pairs, its targets' slices, so
+    neither rebuilds a slice it uses."""
     return GradedSlice(ring, degree)
 
 
@@ -123,11 +126,18 @@ def ideal_slice_vectors(gens, slice_):
     A monomial packs into one int with a field of n.bit_length() + 1 bits
     per exponent.  Every exponent of a degree-n product is at most n, so
     no field carries into the next and a product of monomials is the sum
-    of their keys.  The vector of m * g is then the Z/4 sum of
+    of their keys.  The raw vector of m * g is then the Z/4 sum of
     c * slice_.memo[key(m) + key(t)] over the terms c * t of g, added in
     bitplanes; masking `hi` with `mask4` reduces every coefficient modulo
     its own monomial's order.  A raw monomial's normal form is computed
-    once per slice, on its first use.  Zero products are dropped; an
+    once per slice, on its first use.
+
+    In a strand ring (`RingPresentation.strand`) the multipliers of one
+    degree are m0 + k*step, k < K, and the normal form of each m * t
+    moves one bit up per step, so the raw vector of m0 * g, shifted
+    left by k and masked, is that of the k-th multiplier's product: the
+    multiplier degree's slice is never built.  Elsewhere the multipliers
+    are read from its `basis`.  Zero products are dropped; an
     inhomogeneous generator raises ValueError (`RingElement.degree`)."""
     ring = _common_ring(gens)
     if ring is None:
@@ -156,7 +166,13 @@ def ideal_slice_vectors(gens, slice_):
         if mdeg < 0:
             continue
         terms = [(key(t), c & 3) for t, c in g.terms.items() if c & 3]
-        for mono in graded_slice(ring, mdeg).basis:
+        strand = ring.strand(mdeg)
+        if strand is None:
+            monos = graded_slice(ring, mdeg).basis
+        else:  # the lowest multiplier only, shifted to each one's bits
+            low, count = strand
+            monos = (low,) if count else ()
+        for mono in monos:
             base = key(mono)
             lo = hi = 0
             for tk, c in terms:
@@ -167,9 +183,13 @@ def ideal_slice_vectors(gens, slice_):
                 elif c == 3:
                     vhi ^= vlo
                 lo, hi = lo ^ vlo, hi ^ vhi ^ (lo & vlo)
-            hi &= mask4
-            if lo or hi:
-                out.append((lo, hi))
+            if strand is None:
+                hi &= mask4
+                if lo or hi:
+                    out.append((lo, hi))
+            else:
+                out += [v for k in range(count - 1, -1, -1)
+                        if (v := (lo << k, hi << k & mask4)) != (0, 0)]
     return out
 
 

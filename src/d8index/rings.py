@@ -19,6 +19,7 @@ and the one cache of monomial lists, live in `poly`.
 
 import re
 import sys
+from math import gcd
 from operator import add, mul, sub
 
 __all__ = [
@@ -75,7 +76,8 @@ class RingPresentation:
     Construction compiles what `normal_form` needs for every monomial:
     each rule's pattern support as (index, exponent) pairs, the indices
     of the order-2 generators, which fix a monomial's order class, and
-    the structural hash.
+    the structural hash.  It also decides from the rules whether the
+    ring is a strand ring (`strand`).
     """
 
     def __init__(self, name, coeff, gens, degrees, orders=None,
@@ -131,6 +133,7 @@ class RingPresentation:
         self._key = (self.coeff, self.gens, self.degrees, self.orders,
                      self.relations)
         self._hash = hash(self._key)
+        self._strand = self._strand_shape()
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RingPresentation)
@@ -274,6 +277,63 @@ class RingPresentation:
 
         rec(0, degree, ())
         return result
+
+    def _strand_shape(self):
+        """What `strand` reads, or None unless the ring is a strand ring:
+        at most two free generators u, v (in no rule pattern), h the gcd
+        of their degrees, and at most one rule g_i^p -> r, r one monomial
+        with coefficient 1, whose e*deg(g_i) for e < p are distinct
+        modulo h (which keeps g_i out of r).  A normal monomial of degree
+        n is then u^x v^y g_i^e with e fixed by n modulo h and (x, y) on
+        one progression.  The shape: h; by residue modulo h, g_i^e and
+        its degree, or None; u; v or None; a = deg(u)/h, c = deg(v)/h and
+        the inverse of a modulo c."""
+        rules, degs = self._rules, self.degrees
+        free = [k for k in range(len(degs))
+                if all(pat[k] == 0 for _, pat, _ in rules)]
+        if not free or len(free) > 2 or len(rules) > 1:
+            return None
+        i, p = 0, 1  # without a rule, e = 0 only
+        if rules:
+            [(support, _, rep)] = rules
+            if len(support) > 1 or len(rep) != 1 or rep[0][1] != 1:
+                return None
+            [(i, p)] = support
+        h = gcd(*(degs[k] for k in free))
+        starts = [None] * h
+        for e in range(p):
+            if starts[e * degs[i] % h] is not None:
+                return None
+            starts[e * degs[i] % h] = (
+                tuple(e if k == i else 0 for k in range(len(degs))), e * degs[i])
+        u, v = free if len(free) == 2 else (free[0], None)
+        a, c = degs[u] // h, 1 if v is None else degs[v] // h
+        return h, starts, u, v, a, c, pow(a, -1, c)
+
+    def strand(self, degree):
+        """(m0, count) for a strand ring, else None: the normal monomials
+        of the degree are m0 + k*step, k < count, in ascending lex order
+        ((None, 0) when there are none), found by exponent arithmetic.  The
+        step, x += c and y -= a, is the same at every degree, so the
+        normal form of m*t moves one step when m does."""
+        shape = self._strand
+        if shape is None:
+            return None
+        h, starts, u, v, a, c, inv = shape
+        start = starts[degree % h]
+        if start is None or degree < start[1]:
+            return None, 0
+        mono = list(start[0])
+        n = (degree - start[1]) // h
+        if v is None:
+            mono[u] = n
+            return tuple(mono), 1
+        x = n * inv % c  # the least x >= 0 with c | n - a*x
+        y = (n - a * x) // c
+        if y < 0:
+            return None, 0
+        mono[u], mono[v] = x, y
+        return tuple(mono), y // a + 1
 
     def all_exponents(self, degree):
         """Every exponent tuple of the given degree, normal or not, in

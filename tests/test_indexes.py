@@ -100,6 +100,17 @@ def test_sphere_index_z():
     assert [g.degree() for g in index_sphere_r4j_z(6)] == [18]
 
 
+def test_sphere_index_z_monomials_are_the_power_products():
+    """A_j, written out as monomials, is the product of powers of the
+    generators, in the same order, for every j <= 64."""
+    Y, M, W = (BOUND.gen(s) for s in ("Y", "M", "W"))
+    for j in range(1, 65):
+        h = (j + 1) // 2
+        powers = ((Y ** h * W ** (h - 1) * M, Y ** h * W ** h) if j % 2
+                  else (Y ** h * W ** h,))
+        assert index_sphere_r4j_z(j) == powers, j
+
+
 def test_product_spheres_f2():
     assert index_product_spheres_f2(1) == (D8.parse("y^2"), D8.parse("y^3+w*y"))
     assert index_product_spheres_f2(2, "full") == \

@@ -1,22 +1,28 @@
 import itertools
 import random
 import zlib
-from collections import Counter
 
 import pytest
 
 from d8index import poly
-from d8index.bounds import bound_report
+from d8index.bounds import (CRITERION_REGISTRY, bound_report, criterion_ideal,
+                            criterion_targets, expected_min_d,
+                            verify_inclusion_steps, verify_membership_transfer)
+from d8index.indexes import index_sphere_r4j_z
 from d8index.linalg import z4_in_span
 from d8index.poly import (GradedSlice, _common_ring, element_vector, graded_ideal_slice, graded_slice,
                           ideal_contains, ideal_slice_vectors, ideal_subset,
                           slice_intersection_is_zero,
                           span_contains_by_enumeration)
-from d8index.rings import CATALOG, RingMismatchError, YW_F2, get_ring
+from d8index.rings import (CATALOG, RingMismatchError, RingPresentation,
+                           YW_F2, get_ring)
 from d8index.verify import random_homogeneous
 
 BOUND = get_ring("D8_Z_BOUND")
 D8 = get_ring("D8_F2")
+# a strand ring whose shifts leave the order-4 v^k for order-2 monomials
+CUBE_Z = RingPresentation("BUV_Z", "Z", ("b", "u", "v"), (1, 3, 6), (2, 2, 4),
+                          relations=[((3, 0, 0), {(0, 1, 0): 1})])
 
 
 def _yw(text):
@@ -63,7 +69,7 @@ def _ring_span_vectors(gens, slice_):
             for e in graded_ideal_slice(gens, slice_.degree)]
 
 
-@pytest.mark.parametrize("ring", [YW_F2, *CATALOG.values()],
+@pytest.mark.parametrize("ring", [YW_F2, CUBE_Z, *CATALOG.values()],
                          ids=lambda ring: ring.name)
 def test_packed_span_matches_ring_arithmetic(ring):
     rng = random.Random(23)
@@ -146,28 +152,109 @@ def test_graded_slice_is_reused_at_one_degree():
     assert graded_slice(ring, 9) is not s9  # size other pairs: rebuilt
 
 
-def test_bound_reports_up_to_32_build_293_slices(monkeypatch):
-    """Each report reads its target slices and its generators' multiplier
-    degrees from `graded_slice`: one report builds at most 12 slices, none
-    twice, so the cache keeps every slice a report uses.  Across reports
-    the 16 kept pairs are recycled: j = 1..32 build 293 slices over 191
-    distinct (ring, degree) pairs."""
+def _memo_path_vectors(gens, slice_, monkeypatch):
+    """`ideal_slice_vectors` with the strand path turned off: every
+    multiplier is read from its degree's slice."""
+    with monkeypatch.context() as patch:
+        patch.setattr(RingPresentation, "strand", lambda ring, degree: None)
+        return ideal_slice_vectors(gens, slice_)
+
+
+def test_strand_path_matches_memo_path_on_every_criterion_slice(monkeypatch):
+    """For j <= 128 and d one below, at and one above `expected_min_d`,
+    the shifted vectors of each criterion ideal over each target's slice
+    are the memo path's, in value and order."""
+    compared = 0
+    for criterion in CRITERION_REGISTRY:
+        for j in range(1, 129):
+            d_star = expected_min_d(j, criterion)
+            for d in (d_star - 1, d_star, d_star + 1):
+                gens = criterion_ideal(criterion, d)
+                assert gens[0].ring.strand(0) is not None
+                for target in criterion_targets(criterion, j):
+                    slice_ = graded_slice(target.ring, target.degree())
+                    assert ideal_slice_vectors(gens, slice_) == \
+                        _memo_path_vectors(gens, slice_, monkeypatch), (criterion, j, d)
+                    compared += 1
+    assert compared == 1344
+
+
+def test_strand_shift_reduces_coefficients_onto_order_2_monomials(monkeypatch):
+    """A shift that moves 2 or 3 times an order-4 monomial onto an
+    order-2 one kills 2 and turns 3 into 1: Y^2 * 3W is Y^2*W, Y^2 * 2W
+    is 0, while W * 3W keeps 3 on the order-4 W^2.  The same holds for
+    v^k in a strand ring made here, and H2_Z, all of order 4, keeps
+    every coefficient."""
+    slice8 = graded_slice(BOUND, 8)
+    assert slice8.basis == ((4, 0, 0), (2, 0, 1), (0, 0, 2))  # bits 2, 1, 0
+    assert ideal_slice_vectors([BOUND.parse("3*W")], slice8) == [(0b10, 0), (0b01, 0b01)]
+    assert ideal_slice_vectors([BOUND.parse("2*W")], slice8) == [(0, 0b01)]
+    cases = [(BOUND, ["2*W", "3*W", "2*W^2", "3*W^2+Y^4", "3*W^3+Y^4*W", "M*W"], range(8, 25)),
+             (CUBE_Z, ["2*v", "3*v", "2*v^2", "3*v+u^2", "3*v^2+b*u^3*b^2"], range(6, 25)),
+             (get_ring("H2_Z"), ["2*U", "3*U", "3*U^2"], range(2, 13, 2))]
+    for ring, texts, degrees in cases:
+        assert ring.strand(0) is not None
+        for degree in degrees:
+            slice_ = graded_slice(ring, degree)
+            for g in map(ring.parse, texts):
+                vectors = ideal_slice_vectors([g], slice_)
+                assert vectors == _ring_span_vectors([g], slice_), (ring.name, g, degree)
+                assert vectors == _memo_path_vectors([g], slice_, monkeypatch)
+
+
+def _slices_built(monkeypatch, run):
+    """The (ring, degree) of every graded slice `run()` builds, from an
+    empty slice cache, in build order."""
     graded_slice.cache_clear()
     built = []
     init = GradedSlice.__init__
-    current = [0]
 
     def counting_init(self, ring, degree):
-        built.append((ring.name, degree, current[0]))
+        built.append((ring.name, degree))
         init(self, ring, degree)
 
-    monkeypatch.setattr(GradedSlice, "__init__", counting_init)
-    for j in range(1, 33):
-        current[0] = j
-        bound_report(j)
-    assert len(built) == len(set(built)) == 293
-    assert len({(name, degree) for name, degree, _ in built}) == 191
-    assert max(Counter(j for _, _, j in built).values()) == 12
+    with monkeypatch.context() as patch:
+        patch.setattr(GradedSlice, "__init__", counting_init)
+        run()
+    return built
+
+
+def test_bound_reports_up_to_32_build_96_slices(monkeypatch):
+    """Every criterion ring is a strand ring, so a report builds only its
+    target slices, never a multiplier degree: j = 1..32 build 96 slices,
+    one per target (ring, degree), none twice (293 over 191 pairs when
+    every multiplier degree was a slice)."""
+    def reports():
+        for j in range(1, 33):
+            bound_report(j)
+
+    built = _slices_built(monkeypatch, reports)
+    targets = {(t.ring.name, t.degree()) for j in range(1, 33)
+               for criterion in CRITERION_REGISTRY
+               for t in criterion_targets(criterion, j)}
+    assert len(built) == len(set(built)) == 96
+    assert set(built) == targets
+
+
+def test_inclusion_steps_build_each_target_slice_once(monkeypatch):
+    """`verify_inclusion_steps(12, 24)` builds one slice per degree of
+    the generators of A_j, j <= 13: 14 builds (230 over 43 pairs when
+    every multiplier degree was a slice)."""
+    built = _slices_built(monkeypatch, lambda: verify_inclusion_steps(12, 24))
+    degrees = {g.degree() for j in range(1, 14) for g in index_sphere_r4j_z(j)}
+    assert len(built) == len(set(built)) == 14
+    assert set(built) == {("D8_Z_BOUND", n) for n in degrees}
+
+
+def test_membership_transfer_sweep_builds_each_target_slice_once(monkeypatch):
+    """The `verify_membership_transfer` sweep of `verify` (d <= 20,
+    j <= 10) builds the slice of each target a^j c^j (a+c)^j once: 10
+    builds (112 over 30 pairs when every multiplier degree was a
+    slice)."""
+    built = _slices_built(monkeypatch, lambda: all(
+        verify_membership_transfer(d, j)
+        for j in range(1, 11) for d in range(1, 21)))
+    assert built == [("H1_F2", 3 * j) for j in range(1, 11)]
 
 
 def _fresh_verdict(gens, f):

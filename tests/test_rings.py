@@ -361,6 +361,52 @@ def test_monomial_basis_is_sorted_and_normal():
     assert all(m[1] <= 1 for m in bound.monomials(12))  # M^2 rewrites away
 
 
+# presentations made here to reach the strand cases the catalog does not:
+# coprime free degrees, and a bounded generator first in lex order whose
+# rule rewrites its cube
+COPRIME_F2 = RingPresentation("UV23_F2", "F2", ("u", "v"), (2, 3))
+CUBE_Z = RingPresentation("BUV_Z", "Z", ("b", "u", "v"), (1, 3, 6), (2, 2, 4),
+                          relations=[((3, 0, 0), {(0, 1, 0): 1})])
+NON_STRAND_CATALOG = {"D8_F2", "H2_F2", "D8_Z_FULL", "H1_Z", "H3_Z", "Z2xZ2_Z"}
+STRAND_RINGS = [YW_F2, COPRIME_F2, CUBE_Z,
+                *(r for name, r in CATALOG.items() if name not in NON_STRAND_CATALOG)]
+
+
+def test_catalog_rings_that_are_not_strands():
+    """Zero products (x*y -> 0, e^2 -> 0) and two-term rules keep a ring
+    off the strand path, and so do three free generators, or a bounded
+    generator whose powers do not fix the degree modulo the free ones."""
+    assert {name for name, r in CATALOG.items()
+            if r.strand(0) is None} == NON_STRAND_CATALOG
+    assert all(r.strand(0) is not None for r in STRAND_RINGS)
+    free3 = RingPresentation("ABC_F2", "F2", ("a", "b", "c"), (1, 1, 1))
+    square = RingPresentation("BUV_F2", "F2", ("b", "u", "v"), (2, 2, 2),
+                              relations=[((2, 0, 0), {(0, 2, 0): 1})])
+    for ring in (free3, square):
+        assert ring.strand(0) is None
+        assert len(_steps(ring.monomials(2)[::-1])) > 1  # not one progression
+
+
+def _steps(ascending):
+    """The differences of consecutive monomials of a list."""
+    return {tuple(b - a for a, b in zip(m, m_next))
+            for m, m_next in zip(ascending, ascending[1:])}
+
+
+@pytest.mark.parametrize("ring", STRAND_RINGS, ids=lambda ring: ring.name)
+def test_strand_closed_form_matches_the_staircase(ring):
+    """In ascending lex order each degree's normal monomials are
+    `strand`'s m0 + k*step, k < count, with one step at every degree."""
+    steps = set()
+    for n in range(-2, 301):
+        ascending = ring.monomials(n)[::-1]
+        low, count = ring.strand(n)
+        assert count == len(ascending), n
+        assert low == (ascending[0] if ascending else None), n
+        steps |= _steps(ascending)
+    assert len(steps) <= 1
+
+
 def test_rings_keep_no_per_degree_state():
     """Listing an unseen degree and running the bound reports to j = 64
     leave every ring's attributes as they were: the one per-degree cache

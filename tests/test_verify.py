@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from d8index import bounds, poly, verify
+from d8index.rings import CATALOG, RingPresentation
 from d8index.verify import run_suite
 
 RINGS = ("D8_F2 D8_Z_FULL D8_Z_BOUND H1_F2 H1_Z H2_F2 H2_Z H3_F2 H3_Z K1_F2 "
@@ -94,16 +95,18 @@ def oracle_run():
     `graded_ideal_slice` calls made inside and outside the instance
     builder, wherever the callers look the name up, and records the
     (ring, degree) of every graded slice built, and of those built while
-    `ideal_contains` runs."""
+    `ideal_contains` runs, and the rings whose multipliers it reads from
+    `RingPresentation.strand` (the strand path) or from slices."""
     record = {"instances": [], "decided": [], "inside": 0, "outside": 0,
               "spans": [], "reused": [], "members": {}, "slices": [],
-              "decide_slices": []}
+              "decide_slices": [], "paths": set()}
     building = [False]
     deciding = [None]  # the ring name while `ideal_contains` runs
     span_of = verify.graded_ideal_slice
     build, decide = verify._random_instance, verify.ideal_contains
     enumerate_span = verify.span_contains_by_enumeration
     new_slice = poly.GradedSlice
+    strand_of = RingPresentation.strand
 
     def counted_span(gens, degree):
         record["inside" if building[0] else "outside"] += 1
@@ -134,6 +137,12 @@ def oracle_run():
             record["decide_slices"].append((deciding[0], degree))
         return new_slice(ring, degree)
 
+    def recorded_strand(ring, degree):
+        strand = strand_of(ring, degree)
+        if deciding[0] is not None:
+            record["paths"].add((ring.name, strand is not None))
+        return strand
+
     def checked_enumeration(span, f):
         record["reused"].append(span is record["spans"][-1])
         verdict = enumerate_span(span, f)
@@ -148,6 +157,7 @@ def oracle_run():
         mp.setattr(verify, "ideal_contains", recorded_decide)
         mp.setattr(verify, "span_contains_by_enumeration", checked_enumeration)
         mp.setattr(poly, "GradedSlice", counted_slice)
+        mp.setattr(RingPresentation, "strand", recorded_strand)
         poly.graded_slice.cache_clear()
         record["checks"] = verify.suite_oracle()
     return record
@@ -179,6 +189,17 @@ def test_oracle_decides_each_degree_on_one_slice(oracle_run):
     on the slice its enumeration, run just before, built or found.
     Deciding the instances afterwards, in ascending degree, built 136."""
     assert oracle_run["decide_slices"] == []
+
+
+def test_oracle_decider_takes_the_strand_path_on_every_strand_ring(oracle_run):
+    """`ideal_contains` shifts one vector per generator on every catalog
+    ring that is a strand ring, and on no other, so the enumeration,
+    which never shifts, checks the strand path on 500 instances of each
+    of them."""
+    strands = {name for name, ring in CATALOG.items() if ring.strand(0) is not None}
+    assert len(strands) == 13
+    assert oracle_run["paths"] == ({(name, True) for name in strands}
+                                   | {(name, False) for name in set(CATALOG) - strands})
 
 
 def test_oracle_builds_each_ring_degree_slice_once(oracle_run):
