@@ -35,7 +35,12 @@ __all__ = [
 
 
 class RingHom:
-    """Degree-preserving ring homomorphism given on generators."""
+    """Degree-preserving ring homomorphism given on generators.
+
+    Applying it (`__call__`, `compose`, the relation check at
+    construction) goes through `_apply`, which builds each generator
+    power image_i^e once per call and each monomial's image as a product
+    of those powers."""
 
     def __init__(self, domain, codomain, images, name=""):
         self.domain = domain
@@ -69,26 +74,30 @@ class RingHom:
                 raise ValueError(f"{self.name}: image of {dom.gens[i]} does not "
                                  f"kill the order-{dom.orders[i]} torsion")
         for pat, rep in dom.relations:
-            lhs, rhs = self._apply_monomial(pat), self._apply(rep)
+            lhs, rhs = self._apply(((pat, 1),)), self._apply(rep)
             if lhs != rhs:
                 raise ValueError(f"{self.name}: relation on pattern {pat} is "
                                  f"not respected ({lhs} != {rhs})")
 
-    def _apply_monomial(self, mono):
-        result = self.codomain.one()
-        for i, e in enumerate(mono):
-            if e:
-                result = result * self.images[i] ** e
-        return result
-
     def _apply(self, pairs):
-        """The image of sum coeff * mono over the (mono, coeff) pairs: the
-        raw terms of every coeff * image(mono), put in normal form once."""
-        terms = {}
+        """The image of sum coeff * mono over the (mono, coeff) pairs: each
+        monomial's image is the product of the generator powers image_i^e
+        in its support, each power built once per call in a local table;
+        the raw terms of every coeff * image(mono) are put in normal form
+        once."""
+        images, codomain = self.images, self.codomain
+        powers, terms = {}, {}
         for mono, coeff in pairs:
-            for m, c in self._apply_monomial(mono).terms.items():
+            image = None
+            for i, e in enumerate(mono):
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = images[i] ** e
+                    image = power if image is None else image * power
+            for m, c in (codomain.one() if image is None else image).terms.items():
                 terms[m] = terms.get(m, 0) + coeff * c
-        return RingElement(self.codomain, self.codomain.normal_form(terms))
+        return RingElement(codomain, codomain.normal_form(terms))
 
     def __call__(self, element):
         if element.ring != self.domain:

@@ -275,7 +275,8 @@ def pi_restricts_to_rho(top):
 def rho_recurrence_holds(top):
     """rho_(d+2) = b*rho_(d+1) + a(a+b)*rho_d for every d <= top."""
     a, b = H1_F2.gen("a"), H1_F2.gen("b")
-    return all(rho_poly(d + 2) == b * rho_poly(d + 1) + a * (a + b) * rho_poly(d)
+    rho = [rho_poly(d) for d in range(top + 3)]
+    return all(rho[d + 2] == b * rho[d + 1] + a * (a + b) * rho[d]
                for d in range(top + 1))
 
 

@@ -433,6 +433,9 @@ class RingPresentation:
         return "*".join(factors)
 
 
+_UNKNOWN = object()  # the `_degree` of an element not yet asked
+
+
 class RingElement:
     """Normal-form element of a ring presentation.
 
@@ -440,7 +443,8 @@ class RingElement:
     coefficients already reduced modulo their additive order.  The
     constructor wraps such terms as they are; `RingPresentation.element`
     checks and normalises raw ones.  `degree()` keeps its value in the
-    `_degree` slot on first use, which immutability makes safe.
+    `_degree` slot, `_UNKNOWN` until first use, which immutability makes
+    safe.
     """
 
     __slots__ = ("ring", "terms", "_degree")
@@ -448,6 +452,7 @@ class RingElement:
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._degree = _UNKNOWN
 
     # -- queries ---------------------------------------------------------
 
@@ -458,15 +463,13 @@ class RingElement:
         """Degree of a homogeneous element; None for the zero element.
         Computed once per element; an inhomogeneous element raises
         ValueError on every call."""
-        try:
-            return self._degree
-        except AttributeError:
-            pass
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element {self}")
-        self._degree = degs.pop() if degs else None
-        return self._degree
+        degree = self._degree
+        if degree is _UNKNOWN:
+            degs = {self.ring.monomial_degree(m) for m in self.terms}
+            if len(degs) > 1:
+                raise ValueError(f"inhomogeneous element {self}")
+            degree = self._degree = degs.pop() if degs else None
+        return degree
 
     def __eq__(self, other):
         return (isinstance(other, RingElement)
@@ -515,16 +518,20 @@ class RingElement:
         return self.__mul__(other)
 
     def __pow__(self, n):
+        """self^n by repeated squaring, the result starting at the lowest
+        square self^(2^k) that n needs; n = 0 gives `ring.one()`."""
         if n < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
+        if n == 0:
+            return self.ring.one()
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- printing ----------------------------------------------------------
 

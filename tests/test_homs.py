@@ -81,6 +81,74 @@ def test_hom_multiplicative_on_random_elements():
             assert hom(p + q) == hom(p) + hom(q)
 
 
+def _reference_apply(hom, element):
+    """The image of `element` the way a map was once applied: for each
+    monomial, the product of image_i ** e started from codomain.one()
+    and built afresh, times the coefficient, summed in the codomain."""
+    codomain = hom.codomain
+    total = codomain.zero()
+    for mono, coeff in element.terms.items():
+        image = codomain.one()
+        for img, e in zip(hom.images, mono):
+            if e:
+                image = image * img ** e
+        total = total + coeff * image
+    return total
+
+
+def _multi_term_elements(ring, rng):
+    """Multi-term elements of `ring`: random homogeneous ones of degrees
+    1..10, each also plus one of another degree, and in a Z ring plus a
+    degree-0 integer.  Terms share generators at different exponents and
+    exponents across generators, so a power table keyed by the exponent
+    or the generator alone, or reused past its call, gives wrong images."""
+    elements = []
+    for degree in range(1, 11):
+        p = random_homogeneous(ring, degree, rng, max_terms=6)
+        q = random_homogeneous(ring, rng.randint(1, 10), rng, max_terms=6)
+        elements += [p, p + q]
+        if ring.coeff == "Z":
+            elements.append(p + q + rng.choice([-3, 2, 5]))
+    return elements
+
+
+def _maps_under_reference_check():
+    """Every F2 and Z diagram edge, every two-step route, every mod-2
+    reduction."""
+    maps = []
+    for diagram in (F2_DIAGRAM, Z_DIAGRAM):
+        maps += [(f"{diagram.coeff} {src}->{dst}", hom)
+                 for (src, dst), hom in diagram.edges.items()]
+        for src, dst in itertools.permutations(diagram.rings, 2):
+            maps += [(f"{diagram.coeff} {label}", hom)
+                     for label, hom in diagram.routes(src, dst)
+                     if label.count("->") == 2]
+    maps += [(hom.name, hom) for hom in MOD2_REDUCTION.values()]
+    return maps
+
+
+def test_application_matches_the_per_monomial_reference():
+    """`RingHom.__call__`, which builds each generator power once per
+    call, equals `_reference_apply` on multi-term elements of every map
+    (the same elements in the same order through every map, so a table
+    left over from one call or one map shows), and on pi_d and the lifted
+    Pi_d for d <= 64 under every map out of D8."""
+    from d8index.indexes import capital_pi_poly, pi_in_d8
+    maps = _maps_under_reference_check()
+    assert sum(label.count("->") == 2 for label, _ in maps) == 10
+    rng = random.Random(28)
+    samples = {ring: _multi_term_elements(ring, rng)
+               for ring in {hom.domain for _, hom in maps}}
+    for label, hom in maps:
+        for element in samples[hom.domain]:
+            assert hom(element) == _reference_apply(hom, element), (label, element)
+    families = {D8: [pi_in_d8(d) for d in range(65)],
+                FULL: [lift_bound_to_full(capital_pi_poly(d)) for d in range(65)]}
+    for label, hom in maps:
+        for element in families.get(hom.domain, ()):
+            assert hom(element) == _reference_apply(hom, element), (label, element)
+
+
 def test_diagrams_commute():
     for diagram in (F2_DIAGRAM, Z_DIAGRAM):
         results = diagram.check_commutativity()

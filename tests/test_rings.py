@@ -7,8 +7,9 @@ import pytest
 
 from d8index.bounds import bound_report
 from d8index.rings import (CATALOG, ElementParseError,
-                           RingMismatchError, RingPresentation, YW_F2,
-                           get_ring)
+                           RingElement, RingMismatchError, RingPresentation,
+                           YW_F2, get_ring)
+from d8index.verify import random_homogeneous
 
 ALL_RING_IDS = [
     "D8_F2", "D8_Z_FULL", "D8_Z_BOUND",
@@ -487,18 +488,75 @@ def test_ring_mismatch():
 def test_degree_and_homogeneity():
     """`degree()` keeps its value after the first call: the same answer,
     None for zero and ValueError for an inhomogeneous element on every
-    call, with equality and hashing untouched."""
+    call, with equality and hashing untouched.  That holds for elements
+    built by `element`, by `RingElement(ring, terms)`, by `**` and by a
+    hom application alike: a failure is never kept."""
+    from d8index.homs import restriction
+
     y, w = YW_F2.gen("y"), YW_F2.gen("w")
     zero, mixed = YW_F2.zero(), y + w
+    res = restriction("D8", "H1", "F2")
+    d8 = get_ring("D8_F2")
+    homogeneous = [(y ** 2 + w, 2), (zero, None),
+                   (RingElement(YW_F2, {(3, 0): 1, (1, 1): 1}), 3),
+                   (RingElement(YW_F2, {}), None),
+                   ((y * w + y ** 3) ** 5, 15), (mixed ** 0, 0), (zero ** 3, None),
+                   ((y ** 2 + w) ** 3, 6),
+                   (res(d8.gen("w") ** 2 + d8.gen("y") ** 4), 4),
+                   (res(d8.gen("x")), None)]
+    inhomogeneous = [mixed, RingElement(YW_F2, {(1, 0): 1, (0, 1): 1}),
+                     mixed ** 2, (y + w * y) ** 5,
+                     res(d8.gen("y") + d8.gen("w"))]
     for _ in range(2):
-        assert (y ** 2 + w).degree() == 2
-        assert zero.degree() is None
-        with pytest.raises(ValueError, match="inhomogeneous"):
-            mixed.degree()
+        for element, degree in homogeneous:
+            assert element.degree() == degree, element
+        for element in inhomogeneous:
+            with pytest.raises(ValueError, match="inhomogeneous"):
+                element.degree()
     asked, fresh = y ** 2 + w, y ** 2 + w
     assert asked.degree() == 2
     assert asked == fresh and hash(asked) == hash(fresh)
     assert zero == YW_F2.zero() and hash(zero) == hash(YW_F2.zero())
+
+
+def _random_element(ring, rng):
+    """A sum of random homogeneous elements of two degrees, with a
+    degree-0 integer in a Z ring (degree 0 is not reduced, so its powers
+    grow)."""
+    element = (random_homogeneous(ring, rng.randint(1, 4), rng)
+               + random_homogeneous(ring, rng.randint(1, 4), rng))
+    if ring.coeff == "Z" and rng.random() < 0.5:
+        element = element + rng.choice([-3, -1, 2, 5])
+    return element
+
+
+@pytest.mark.parametrize("name", ALL_RING_IDS + ["YW_F2"])
+def test_power_is_repeated_multiplication(name):
+    """x^0 is one, zero included; zero^n is zero; a negative exponent is
+    refused; x^n is x multiplied n times for n <= 12, on random
+    elements, on every order-4 generator with coefficients 1 to 3, and
+    on a degree-0 integer in a Z ring."""
+    ring = YW_F2 if name == "YW_F2" else get_ring(name)
+    one, zero = ring.one(), ring.zero()
+    rng = random.Random(zlib.crc32(name.encode()))
+    samples = [one, ring.gen(ring.gens[0]), _random_element(ring, rng),
+               _random_element(ring, rng), _random_element(ring, rng)]
+    if ring.coeff == "Z":
+        samples += [ring.element({(0,) * len(ring.gens): c}) for c in (-3, 2, 7)]
+        samples += [c * ring.gen(s) + 2
+                    for s, order in zip(ring.gens, ring.orders) if order == 4
+                    for c in (1, 2, 3)]
+    assert zero ** 0 == one
+    with pytest.raises(ValueError, match="negative"):
+        ring.gen(ring.gens[0]) ** -1
+    for n in range(1, 13):
+        assert zero ** n == zero
+    for x in samples:
+        assert x ** 0 == one
+        product = one
+        for n in range(1, 13):
+            product = product * x
+            assert x ** n == product, (x, n)
 
 
 def test_printing_orders_terms_and_factors():
