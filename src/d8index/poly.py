@@ -9,11 +9,11 @@ recently used few; its `basis` is the one cached monomial list.
 `index` as two bitplanes (lo, hi), with `hi` masked by its order-4
 mask `mask4`.  The deciders span an ideal slice with
 `ideal_slice_vectors`, which builds those packed vectors of the products
-m * g directly from monomial keys and the slice's memo of
-single-monomial normal forms, with no `RingElement` product; in a
-strand ring (`RingPresentation.strand`), as every criterion ring is,
-those of one generator are the shifts of one vector.  Every
-decider, for every ring, hands the vectors to one Howell basis
+m * g term by term, each m * t one bit or the encoded normal form of
+that one monomial, with no `RingElement` product and no state kept
+between calls; in a strand ring (`RingPresentation.strand`), as every
+criterion ring is, those of one generator are the shifts of one vector.
+Every decider, for every ring, hands the vectors to one Howell basis
 (`linalg.howell_basis`): membership is a reduction against it, and
 whether two ideal slices meet only in 0 is a count of subgroup orders.
 
@@ -27,7 +27,7 @@ or the span is used up, and never touches the elimination code paths.
 """
 
 from functools import lru_cache
-from operator import add, lshift
+from operator import add
 
 from .linalg import z4_in_span, z4_log2_order
 from .rings import RingElement, RingMismatchError
@@ -59,12 +59,11 @@ def _common_ring(elems):
 class GradedSlice:
     """The degree-n piece of a ring: `basis` lists its normal monomials in
     descending lex order, `index` maps each to its bit (the largest on the
-    top bit), and the bits of `mask4` are the order-4 monomials.  `memo`,
-    filled lazily by `ideal_slice_vectors`, maps a raw degree-n monomial
-    packed into one int to the packed vector of its normal form, which
-    no generator set changes, so every decision at the degree shares it."""
+    top bit), and the bits of `mask4` are the order-4 monomials.  It
+    depends on the ring and the degree alone, never on a generator set,
+    so every decision at the degree shares it."""
 
-    __slots__ = ("degree", "basis", "index", "mask4", "memo")
+    __slots__ = ("degree", "basis", "index", "mask4")
 
     def __init__(self, ring, degree):
         self.degree = degree
@@ -72,7 +71,6 @@ class GradedSlice:
         self.index = {m: i for i, m in enumerate(reversed(self.basis))}
         order = ring.monomial_order
         self.mask4 = sum(1 << i for m, i in self.index.items() if order(m) == 4)
-        self.memo = {}
 
     def __len__(self):
         return len(self.basis)
@@ -83,10 +81,10 @@ SLICE_CACHE_SIZE = 16
 
 @lru_cache(maxsize=SLICE_CACHE_SIZE)
 def graded_slice(ring, degree):
-    """The ring's slice of the degree, kept with its memo among the
-    `SLICE_CACHE_SIZE` most recently used (ring, degree) pairs: the
-    package's one per-degree cache, whose `basis` every repeated monomial
-    list is read from (targets, multiplier degrees outside strand rings,
+    """The ring's slice of the degree, kept among the `SLICE_CACHE_SIZE`
+    most recently used (ring, degree) pairs: the package's one
+    per-degree cache, whose `basis` every repeated monomial list is
+    read from (targets, multiplier degrees outside strand rings,
     random draws), so memory stays bounded and every verdict at one
     degree shares one slice.  The oracle reads at most 11 degrees of one
     ring and one `bound_report` at most 4 pairs, its targets' slices, so
@@ -123,41 +121,24 @@ def ideal_slice_vectors(gens, slice_):
     the degree-n piece of <gens> over `slice_` (degree n), in the same
     order, formed without `RingElement` products.
 
-    A monomial packs into one int with a field of n.bit_length() + 1 bits
-    per exponent.  Every exponent of a degree-n product is at most n, so
-    no field carries into the next and a product of monomials is the sum
-    of their keys.  The raw vector of m * g is then the Z/4 sum of
-    c * slice_.memo[key(m) + key(t)] over the terms c * t of g, added in
-    bitplanes; masking `hi` with `mask4` reduces every coefficient modulo
-    its own monomial's order.  A raw monomial's normal form is computed
-    once per slice, on its first use.
+    The raw vector of m * g is the Z/4 sum, added in bitplanes, of c
+    times the vector of m * t over the terms c * t of g: a normal
+    monomial m * t is one bit of `slice_.index`, any other is the
+    encoded normal form of that one monomial.  Masking `hi` with `mask4`
+    then reduces every coefficient modulo its own monomial's order.
 
     In a strand ring (`RingPresentation.strand`) the multipliers of one
     degree are m0 + k*step, k < K, and the normal form of each m * t
     moves one bit up per step, so the raw vector of m0 * g, shifted
-    left by k and masked, is that of the k-th multiplier's product: the
-    multiplier degree's slice is never built.  Elsewhere the multipliers
-    are read from its `basis`.  Zero products are dropped; an
-    inhomogeneous generator raises ValueError (`RingElement.degree`)."""
+    left by k and only then masked, is that of the k-th multiplier's
+    product: the multiplier degree's slice is never built.  Elsewhere
+    the multipliers are read from its `basis`.  Zero products are
+    dropped; an inhomogeneous generator raises ValueError
+    (`RingElement.degree`)."""
     ring = _common_ring(gens)
     if ring is None:
         return []
-    degree, memo, index, mask4 = (slice_.degree, slice_.memo, slice_.index,
-                                  slice_.mask4)
-    width = degree.bit_length() + 1
-    field = (1 << width) - 1
-    shifts = [width * i for i in range(len(ring.gens))]
-
-    def key(mono):
-        return sum(map(lshift, mono, shifts))
-
-    def fill(k):
-        mono = tuple(k >> s & field for s in shifts)
-        i = index.get(mono)  # a normal monomial is one bit
-        memo[k] = v = ((1 << i, 0) if i is not None else element_vector(
-            RingElement(ring, ring.normal_form({mono: 1})), slice_))
-        return v
-
+    degree, index, mask4 = slice_.degree, slice_.index, slice_.mask4
     out = []
     for g in gens:
         if not g:
@@ -165,31 +146,27 @@ def ideal_slice_vectors(gens, slice_):
         mdeg = degree - g.degree()
         if mdeg < 0:
             continue
-        terms = [(key(t), c & 3) for t, c in g.terms.items() if c & 3]
+        terms = [(t, c & 3) for t, c in g.terms.items() if c & 3]
         strand = ring.strand(mdeg)
         if strand is None:
-            monos = graded_slice(ring, mdeg).basis
+            monos, count = graded_slice(ring, mdeg).basis, 1
         else:  # the lowest multiplier only, shifted to each one's bits
             low, count = strand
             monos = (low,) if count else ()
         for mono in monos:
-            base = key(mono)
             lo = hi = 0
-            for tk, c in terms:
-                k = base + tk
-                vlo, vhi = memo.get(k) or fill(k)
+            for t, c in terms:
+                prod = tuple(map(add, mono, t))
+                i = index.get(prod)  # a normal monomial is one bit
+                vlo, vhi = (1 << i, 0) if i is not None else element_vector(
+                    RingElement(ring, ring.normal_form({prod: 1})), slice_)
                 if c == 2:
                     vlo, vhi = 0, vlo
                 elif c == 3:
                     vhi ^= vlo
                 lo, hi = lo ^ vlo, hi ^ vhi ^ (lo & vlo)
-            if strand is None:
-                hi &= mask4
-                if lo or hi:
-                    out.append((lo, hi))
-            else:
-                out += [v for k in range(count - 1, -1, -1)
-                        if (v := (lo << k, hi << k & mask4)) != (0, 0)]
+            out += [v for k in range(count - 1, -1, -1)
+                    if (v := (lo << k, hi << k & mask4)) != (0, 0)]
     return out
 
 

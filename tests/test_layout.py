@@ -201,8 +201,8 @@ def _imported_modules(tree):
 
 
 def test_rings_holds_no_packed_slice():
-    """`rings` is algebra only: the packed degree slice, its cache and
-    its memo live in `poly`, and `rings` reaches no solver module."""
+    """`rings` is algebra only: the packed degree slice and its cache
+    live in `poly`, and `rings` reaches no solver module."""
     tree = ast.parse((SRC / "rings.py").read_text())
     slice_names = {"GradedSlice", "graded_slice", "_slice", "mask4", "memo"}
     assert set(_identifiers(tree)) & slice_names == set()

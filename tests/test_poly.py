@@ -23,6 +23,7 @@ D8 = get_ring("D8_F2")
 # a strand ring whose shifts leave the order-4 v^k for order-2 monomials
 CUBE_Z = RingPresentation("BUV_Z", "Z", ("b", "u", "v"), (1, 3, 6), (2, 2, 4),
                           relations=[((3, 0, 0), {(0, 1, 0): 1})])
+T_Z = RingPresentation("T", "Z", ("u", "v"), (2, 2), (4, 2))
 
 
 def _yw(text):
@@ -110,8 +111,8 @@ def test_packed_span_reduces_coefficients_per_monomial():
 @pytest.mark.parametrize("ring_name, degree", [("H2_F2", 2 ** 17 + 3),
                                                ("K3_Z", 2 ** 18 + 2)])
 def test_packed_span_key_width_grows_with_degree(ring_name, degree):
-    """Exponents above 2^17 fit their key fields: the width follows the
-    degree."""
+    """Products with exponents above 2^17 land on their monomials' bits:
+    the spans match ring arithmetic, with nothing packed per exponent."""
     ring = get_ring(ring_name)
     slice_ = graded_slice(ring, degree)
     top = ring.element({slice_.basis[0]: 1})
@@ -152,7 +153,7 @@ def test_graded_slice_is_reused_at_one_degree():
     assert graded_slice(ring, 9) is not s9  # size other pairs: rebuilt
 
 
-def _memo_path_vectors(gens, slice_, monkeypatch):
+def _basis_path_vectors(gens, slice_, monkeypatch):
     """`ideal_slice_vectors` with the strand path turned off: every
     multiplier is read from its degree's slice."""
     with monkeypatch.context() as patch:
@@ -160,10 +161,10 @@ def _memo_path_vectors(gens, slice_, monkeypatch):
         return ideal_slice_vectors(gens, slice_)
 
 
-def test_strand_path_matches_memo_path_on_every_criterion_slice(monkeypatch):
+def test_strand_path_matches_basis_path_on_every_criterion_slice(monkeypatch):
     """For j <= 128 and d one below, at and one above `expected_min_d`,
     the shifted vectors of each criterion ideal over each target's slice
-    are the memo path's, in value and order."""
+    are the basis path's, in value and order."""
     compared = 0
     for criterion in CRITERION_REGISTRY:
         for j in range(1, 129):
@@ -174,7 +175,7 @@ def test_strand_path_matches_memo_path_on_every_criterion_slice(monkeypatch):
                 for target in criterion_targets(criterion, j):
                     slice_ = graded_slice(target.ring, target.degree())
                     assert ideal_slice_vectors(gens, slice_) == \
-                        _memo_path_vectors(gens, slice_, monkeypatch), (criterion, j, d)
+                        _basis_path_vectors(gens, slice_, monkeypatch), (criterion, j, d)
                     compared += 1
     assert compared == 1344
 
@@ -184,14 +185,19 @@ def test_strand_shift_reduces_coefficients_onto_order_2_monomials(monkeypatch):
     order-2 one kills 2 and turns 3 into 1: Y^2 * 3W is Y^2*W, Y^2 * 2W
     is 0, while W * 3W keeps 3 on the order-4 W^2.  The same holds for
     v^k in a strand ring made here, and H2_Z, all of order 4, keeps
-    every coefficient."""
+    every coefficient.  In T (u of order 4, v of order 2, both of degree
+    2) the lowest multiplier v^k of 3*u gives the order-2 u*v^k, whose
+    last shift is the order-4 u^(k+1): the raw Z/4 sum is shifted before
+    it is masked, so 3 survives there, where the product m0 * g put in
+    normal form first would carry 1."""
     slice8 = graded_slice(BOUND, 8)
     assert slice8.basis == ((4, 0, 0), (2, 0, 1), (0, 0, 2))  # bits 2, 1, 0
     assert ideal_slice_vectors([BOUND.parse("3*W")], slice8) == [(0b10, 0), (0b01, 0b01)]
     assert ideal_slice_vectors([BOUND.parse("2*W")], slice8) == [(0, 0b01)]
     cases = [(BOUND, ["2*W", "3*W", "2*W^2", "3*W^2+Y^4", "3*W^3+Y^4*W", "M*W"], range(8, 25)),
              (CUBE_Z, ["2*v", "3*v", "2*v^2", "3*v+u^2", "3*v^2+b*u^3*b^2"], range(6, 25)),
-             (get_ring("H2_Z"), ["2*U", "3*U", "3*U^2"], range(2, 13, 2))]
+             (get_ring("H2_Z"), ["2*U", "3*U", "3*U^2"], range(2, 13, 2)),
+             (T_Z, ["3*u", "2*u", "3*u+v", "2*u^2+v^2", "3*u*v+u^2"], range(4, 13))]
     for ring, texts, degrees in cases:
         assert ring.strand(0) is not None
         for degree in degrees:
@@ -199,7 +205,7 @@ def test_strand_shift_reduces_coefficients_onto_order_2_monomials(monkeypatch):
             for g in map(ring.parse, texts):
                 vectors = ideal_slice_vectors([g], slice_)
                 assert vectors == _ring_span_vectors([g], slice_), (ring.name, g, degree)
-                assert vectors == _memo_path_vectors([g], slice_, monkeypatch)
+                assert vectors == _basis_path_vectors([g], slice_, monkeypatch)
 
 
 def _slices_built(monkeypatch, run):
@@ -258,7 +264,7 @@ def test_membership_transfer_sweep_builds_each_target_slice_once(monkeypatch):
 
 
 def _fresh_verdict(gens, f):
-    """ideal_contains on a slice built here, with an empty memo."""
+    """ideal_contains on a slice built here, outside the slice cache."""
     fresh = GradedSlice(f.ring, f.degree())
     return z4_in_span(ideal_slice_vectors(gens, fresh),
                       element_vector(f, fresh), fresh.mask4)
@@ -273,8 +279,9 @@ def _fresh_verdict(gens, f):
 def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
                                                   other):
     """Two ideals decided at one degree, in either order and interleaved
-    with another degree, give the verdicts of fresh slices, and the memo
-    keeps only normal forms of single monomials."""
+    with another degree, give the verdicts of fresh slices, and no
+    decision leaves state in a slice: after every order each cached slice
+    equals a fresh one in every slot."""
     ring = get_ring(ring_name)
     first, second = ([ring.parse(t) for t in gens] for gens in ideals)
     fs = [ring.parse(t) for t in targets]
@@ -293,13 +300,10 @@ def test_reused_slice_verdicts_match_fresh_slices(ring_name, ideals, targets,
             gens = (first, second)[step]
             for f in fs:
                 assert ideal_contains(gens, f) == expected[(step, f)]
-    slice_ = graded_slice(ring, degree)
-    width = degree.bit_length() + 1
-    assert slice_.memo
-    for key, vector in slice_.memo.items():
-        mono = tuple(key >> (width * i) & ((1 << width) - 1)
-                     for i in range(len(ring.gens)))
-        assert vector == element_vector(ring.element({mono: 1}), slice_)
+        for n in range(1, max(degree, g.degree()) + 1):
+            cached, fresh = graded_slice(ring, n), GradedSlice(ring, n)
+            for slot in GradedSlice.__slots__:
+                assert getattr(cached, slot) == getattr(fresh, slot), (order, n, slot)
 
 
 def test_ideal_contains_f2_examples():
