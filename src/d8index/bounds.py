@@ -38,7 +38,7 @@ from collections import namedtuple
 from .indexes import (index_product_spheres_z, index_sphere_r4j_z,
                       lucas_binom_mod2, pi_poly)
 from .poly import ideal_contains, ideal_subset
-from .rings import D8_Z_BOUND, H1_F2, YW_F2
+from .rings import D8_Z_BOUND, H1_F2, YW_F2, RingElement
 
 __all__ = [
     "CRITERION_REGISTRY",
@@ -123,15 +123,17 @@ def criterion_targets(criterion, j):
     """The elements a criterion certifies (d, j) with when one lies
     outside I_d: y^j w^j for F2_D8, the generators of A_j for Z_D8 and
     a^j b^j (a+b)^j for H1_F2, written out by Lucas' rule: its terms are
-    a^(j+k) b^(2j-k) for the k with binom(j, k) odd."""
+    a^(j+k) b^(2j-k) for the k with binom(j, k) odd.  Every target is
+    built from normal monomials, without the checks of `element`."""
     _check_positive(j=j)
     if criterion == "F2_D8":
-        return [YW_F2.element({(j, j): 1})]
+        return [RingElement(YW_F2, YW_F2.normal_form({(j, j): 1}))]
     if criterion == "Z_D8":
         return list(index_sphere_r4j_z(j))
     if criterion == "H1_F2":
-        return [H1_F2.element({(j + k, 2 * j - k): 1 for k in range(j + 1)
-                               if lucas_binom_mod2(j, k)})]
+        return [RingElement(H1_F2, H1_F2.normal_form(
+            {(j + k, 2 * j - k): 1 for k in range(j + 1)
+             if lucas_binom_mod2(j, k)}))]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -151,7 +153,8 @@ def criterion_ideal(criterion, d):
     if criterion == "Z_D8":
         return list(index_product_spheres_z(d))
     if criterion == "H1_F2":
-        return [H1_F2.element({(d + 1, 0): 1}), H1_F2.element({(0, d + 1): 1})]
+        return [RingElement(H1_F2, H1_F2.normal_form({m: 1}))
+                for m in ((d + 1, 0), (0, d + 1))]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 

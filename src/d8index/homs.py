@@ -39,8 +39,8 @@ class RingHom:
 
     Applying it (`__call__`, `compose`, the relation check at
     construction) goes through `_apply`, which builds each generator
-    power image_i^e once per call and each monomial's image as a product
-    of those powers."""
+    power image_i^e once per call, from the next lower one it needs, and
+    each monomial's image as a product of those powers."""
 
     def __init__(self, domain, codomain, images, name=""):
         self.domain = domain
@@ -82,18 +82,31 @@ class RingHom:
     def _apply(self, pairs):
         """The image of sum coeff * mono over the (mono, coeff) pairs: each
         monomial's image is the product of the generator powers image_i^e
-        in its support, each power built once per call in a local table;
-        the raw terms of every coeff * image(mono) are put in normal form
-        once."""
+        in its support.  A local table holds those powers, built per
+        generator in ascending order of the exponents the call needs,
+        each from the one before times image_i^gap (so a lone huge
+        exponent is one `**`); the raw terms of every coeff * image(mono)
+        are put in normal form once."""
         images, codomain = self.images, self.codomain
-        powers, terms = {}, {}
+        pairs = tuple(pairs)
+        needed = {}
+        for mono, _ in pairs:
+            for i, e in enumerate(mono):
+                if e:
+                    needed.setdefault(i, set()).add(e)
+        powers = {}
+        for i, exponents in needed.items():
+            power, last = None, 0
+            for e in sorted(exponents):
+                step = images[i] ** (e - last)
+                power = powers[i, e] = step if power is None else power * step
+                last = e
+        terms = {}
         for mono, coeff in pairs:
             image = None
             for i, e in enumerate(mono):
                 if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = images[i] ** e
+                    power = powers[i, e]
                     image = power if image is None else image * power
             for m, c in (codomain.one() if image is None else image).terms.items():
                 terms[m] = terms.get(m, 0) + coeff * c

@@ -21,8 +21,8 @@ apply a homomorphism import `homs` in their bodies: a verdict builds none.
 """
 
 from .poly import slice_intersection_is_zero
-from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, Z2xZ2_F2,
-                    Z2xZ2_Z)
+from .rings import (D8_F2, D8_Z_BOUND, D8_Z_FULL, H1_F2, YW_F2, RingElement,
+                    Z2xZ2_F2, Z2xZ2_Z)
 
 __all__ = [
     "lucas_binom_mod2",
@@ -66,7 +66,8 @@ def lucas_binom_mod2(n, k):
 def _pi_family(ring, y_sym, w_sym, d):
     """p_d = sum of w^i y^(d-2i) over the i with binom(d-1-i, i) odd,
     written term by term: p_0 = 0, p_1 = y.  It solves the recurrence
-    p_(d+1) = y*p_d + w*p_(d-1) (`recurrence_matches_binomial`)."""
+    p_(d+1) = y*p_d + w*p_(d-1) (`recurrence_matches_binomial`).  Its
+    terms are normal monomials, so they skip the checks of `element`."""
     if d < 0:
         raise ValueError("d must be >= 0")
     iy, iw = ring.gens.index(y_sym), ring.gens.index(w_sym)
@@ -76,7 +77,7 @@ def _pi_family(ring, y_sym, w_sym, d):
             mono = [0] * len(ring.gens)
             mono[iy], mono[iw] = d - 2 * i, i
             terms[tuple(mono)] = 1
-    return ring.element(terms)
+    return RingElement(ring, ring.normal_form(terms))
 
 
 def pi_poly(d):
@@ -120,10 +121,9 @@ def index_sphere_r4j_z(j):
     if j < 1:
         raise ValueError("j must be >= 1")
     h = (j + 1) // 2  # each generator is one normal monomial in (Y, M, W)
-    if j % 2 == 0:
-        return (D8_Z_BOUND.element({(h, 0, h): 1}),)
-    return (D8_Z_BOUND.element({(h, 1, h - 1): 1}),
-            D8_Z_BOUND.element({(h, 0, h): 1}))
+    monos = [(h, 0, h)] if j % 2 == 0 else [(h, 1, h - 1), (h, 0, h)]
+    return tuple(RingElement(D8_Z_BOUND, D8_Z_BOUND.normal_form({m: 1}))
+                 for m in monos)
 
 
 def index_product_spheres_f2(d, kind="partial"):

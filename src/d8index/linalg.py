@@ -9,8 +9,11 @@ are bitwise: lo = a.lo ^ b.lo, hi = (a.hi ^ b.hi ^ carry) & mask4.
 Since 2 is a zero divisor in Z/4, solvability uses a Howell basis of the
 span (Howell, Lin. Multilin. Alg. 19, 1986; Storjohann-Mulders, ESA
 1998): a triangular basis against which every element of the span
-reduces to zero.  Membership and the order of the span are both read
-off it.  With `mask4 == 0` it is plain F2 elimination on bitmasks.
+reduces to zero.  One insertion loop, `_extend`, reduces each vector
+and places what is left: `howell_basis` extends an empty basis, and a
+target lies in the span iff extending the span's basis by it places no
+row.  The order of the span is read off the basis.  With `mask4 == 0`
+it is plain F2 elimination on bitmasks.
 Every entry point takes packed vectors; callers pack their own.
 """
 
@@ -21,41 +24,39 @@ __all__ = [
 ]
 
 
-def _reduce(basis, lo, hi, mask4):
-    """Reduce (lo, hi) against the basis until it is zero, its leading
-    coordinate holds no pivot, or it has a unit entry over a pivot 2."""
-    while lo | hi:
-        k = (lo | hi).bit_length() - 1
-        row = basis.get(k)
-        if row is None:
-            break
-        rlo, rhi = row
-        bit = 1 << k
-        if rlo & bit and not lo & bit:    # entry 2 over a unit: add 2*row
-            hi ^= rlo & mask4
-        elif lo & bit and not rlo & bit:  # unit entry over a pivot 2
-            break
-        else:           # subtract row: a unit minus a unit leaves 0 or 2
-            hi = (hi ^ rhi ^ (rlo & ~lo)) & mask4
-            lo ^= rlo
-    return lo, hi
+def _extend(basis, vectors, mask4):
+    """Insert `vectors` into the Howell basis {leading coordinate: row}
+    in place; True iff a row was placed.
 
-
-def howell_basis(vectors, mask4):
-    """Howell basis {leading coordinate: row} of the span of `vectors`.
-
-    Each vector is reduced against the basis built so far and placed at
-    its leading (highest nonzero) coordinate; its pivot is a unit (1 or
-    3) or 2.  A unit landing on a pivot 2 becomes the pivot and the old
-    row is inserted again; after a row whose pivot has additive order 2
-    is placed, its annihilator multiple 2*row is inserted too.
+    Each vector is reduced against the basis until it is zero, its
+    leading (highest nonzero) coordinate holds no pivot, or it has a
+    unit entry over a pivot 2; a nonzero remainder is placed at its
+    leading coordinate, its pivot a unit (1 or 3) or 2.  A unit landing
+    on a pivot 2 becomes the pivot and the old row is inserted again;
+    after a row whose pivot has additive order 2 is placed, its
+    annihilator multiple 2*row is inserted too.
     """
-    basis = {}
+    grew = False
     pending = list(vectors)[::-1]
     while pending:
-        lo, hi = _reduce(basis, *pending.pop(), mask4)
+        lo, hi = pending.pop()
+        while lo | hi:
+            k = (lo | hi).bit_length() - 1
+            row = basis.get(k)
+            if row is None:
+                break
+            rlo, rhi = row
+            bit = 1 << k
+            if rlo & bit and not lo & bit:    # entry 2 over a unit: add 2*row
+                hi ^= rlo & mask4
+            elif lo & bit and not rlo & bit:  # unit entry over a pivot 2
+                break
+            else:       # subtract row: a unit minus a unit leaves 0 or 2
+                hi = (hi ^ rhi ^ (rlo & ~lo)) & mask4
+                lo ^= rlo
         if not lo | hi:
             continue
+        grew = True
         k = (lo | hi).bit_length() - 1
         bit = 1 << k
         old = basis.get(k)
@@ -65,12 +66,22 @@ def howell_basis(vectors, mask4):
         two = lo & mask4
         if two and not two & bit:     # pivot of additive order 2
             pending.append((0, two))  # annihilator 2*row
+    return grew
+
+
+def howell_basis(vectors, mask4):
+    """Howell basis {leading coordinate: row} of the span of `vectors`:
+    the empty basis extended by them."""
+    basis = {}
+    _extend(basis, vectors, mask4)
     return basis
 
 
 def z4_in_span(vectors, target, mask4):
-    """True iff the packed `target` lies in the span of `vectors`."""
-    return _reduce(howell_basis(vectors, mask4), *target, mask4) == (0, 0)
+    """True iff the packed `target` lies in the span of `vectors`: it
+    reduces to zero against their Howell basis, which it leaves as it
+    was."""
+    return not _extend(howell_basis(vectors, mask4), [target], mask4)
 
 
 def z4_log2_order(vectors, mask4):

@@ -342,11 +342,26 @@ class RingPresentation:
 
     def monomials(self, degree):
         """Normal-form monomials of the degree (the staircase: those no
-        rule pattern divides), in descending lex order, walked afresh on
+        rule pattern divides), in descending lex order, listed afresh on
         every call: the ring keeps no per-degree state, and a caller that
         asks for one degree again reads `poly.graded_slice(ring,
-        degree).basis`, the same list as a tuple."""
-        return self._exponent_walk(degree, staircase=True)[::-1]
+        degree).basis`, the same list as a tuple.  A strand ring steps
+        along `strand`'s progression, x += c and y -= a from m0; any
+        other ring walks the staircase."""
+        strand = self.strand(degree)
+        if strand is None:
+            return self._exponent_walk(degree, staircase=True)[::-1]
+        low, count = strand
+        if count < 2:  # with one free generator, count is 0 or 1
+            return [low] if count else []
+        _, _, u, v, a, c, _ = self._strand
+        mono = list(low)
+        x, y = low[u], low[v]
+        out = []
+        for k in range(count - 1, -1, -1):
+            mono[u], mono[v] = x + k * c, y - k * a
+            out.append(tuple(mono))
+        return out
 
     # -- element constructors --------------------------------------------
 
@@ -519,11 +534,15 @@ class RingElement:
 
     def __pow__(self, n):
         """self^n by repeated squaring, the result starting at the lowest
-        square self^(2^k) that n needs; n = 0 gives `ring.one()`."""
+        square self^(2^k) that n needs; n = 0 gives `ring.one()`.  An F2
+        element squares term by term, since (sum m)^2 = sum m^2 in
+        characteristic 2 (distinct m have distinct squares)."""
         if n < 0:
             raise ValueError("negative power")
+        ring = self.ring
         if n == 0:
-            return self.ring.one()
+            return ring.one()
+        f2 = ring.coeff == "F2"
         result, base = None, self
         while True:
             if n & 1:
@@ -531,7 +550,11 @@ class RingElement:
             n >>= 1
             if not n:
                 return result
-            base = base * base
+            if f2:
+                base = RingElement(ring, ring.normal_form(
+                    {tuple(e + e for e in m): 1 for m in base.terms}))
+            else:
+                base = base * base
 
     # -- printing ----------------------------------------------------------
 

@@ -149,6 +149,28 @@ def test_application_matches_the_per_monomial_reference():
             assert hom(element) == _reference_apply(hom, element), (label, element)
 
 
+def test_nearby_huge_exponents_share_one_power_chain(monkeypatch):
+    """W^1000001 + Y*W^1000003 under the quotient that kills X: W^1000003
+    is built from W^1000001 times W^2, so the call forms fewer products
+    than two square-and-multiply chains would (a chain for e takes at
+    least e.bit_length() - 1), and a lone huge exponent stays one `**`."""
+    from d8index.rings import RingElement
+    element = FULL.element({(0, 0, 0, 1000001): 1, (0, 1, 0, 1000003): 1})
+    products = 0
+    multiply = RingElement.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    image = FULL_TO_BOUND(element)
+    monkeypatch.undo()
+    assert image == BOUND.element({(0, 0, 1000001): 1, (1, 0, 1000003): 1})
+    assert products < 2 * ((1000001).bit_length() - 1), products
+
+
 def test_diagrams_commute():
     for diagram in (F2_DIAGRAM, Z_DIAGRAM):
         results = diagram.check_commutativity()

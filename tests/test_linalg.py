@@ -27,12 +27,12 @@ def _solvable(columns, target):
                       _z4_mask(len(target)))
 
 
-def test_howell_solve_scalar_cases():
+def test_z4_in_span_scalar_cases():
     assert _solvable([(2,)], (2,)) is True
     assert _solvable([(2,)], (1,)) is False
 
 
-def test_howell_solve_two_columns():
+def test_z4_in_span_two_columns():
     # exhausting all 16 coefficient pairs confirms (1,3) = 1*(1,1) + 1*(0,2)
     assert _solvable([(1, 1), (0, 2)], (1, 3)) is True
 
@@ -77,7 +77,7 @@ def test_howell_solve_invariances(seed):
     assert _solvable(scaled, target) == expected
 
 
-def test_howell_form_pivot_structure():
+def test_howell_basis_pivot_structure():
     # (1, 2): its lead, coordinate 1, holds a pivot 2
     basis = howell_basis([_pack([1, 2])], _z4_mask(2))
     assert set(basis) == {0, 1}
@@ -96,7 +96,7 @@ def test_z4_log2_order_matches_span_size(seed):
         == len(_brute_span(columns, [4] * width))
 
 
-def test_gf2_span_and_nullspace():
+def test_z4_in_span_and_howell_basis_over_f2():
     # with mask4 = 0 every coordinate has order 2: plain F2 bitmasks
     vectors = [(0b011, 0), (0b101, 0), (0b110, 0)]  # third = first ^ second
     assert z4_in_span(vectors, (0b110, 0), 0)

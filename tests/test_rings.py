@@ -396,11 +396,12 @@ def _steps(ascending):
 
 @pytest.mark.parametrize("ring", STRAND_RINGS, ids=lambda ring: ring.name)
 def test_strand_closed_form_matches_the_staircase(ring):
-    """In ascending lex order each degree's normal monomials are
-    `strand`'s m0 + k*step, k < count, with one step at every degree."""
+    """In ascending lex order each degree's normal monomials, as the
+    staircase walk lists them, are `strand`'s m0 + k*step, k < count,
+    with one step at every degree."""
     steps = set()
     for n in range(-2, 301):
-        ascending = ring.monomials(n)[::-1]
+        ascending = ring._exponent_walk(n, staircase=True)
         low, count = ring.strand(n)
         assert count == len(ascending), n
         assert low == (ascending[0] if ascending else None), n
@@ -557,6 +558,21 @@ def test_power_is_repeated_multiplication(name):
         for n in range(1, 13):
             product = product * x
             assert x ** n == product, (x, n)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_RING_IDS if n.endswith("_F2")])
+def test_f2_square_is_the_product_with_itself(name):
+    """`**` squares an F2 element term by term; on random elements of
+    every F2 catalog ring, with up to six terms over two degrees, that
+    is base * base, and so is every square a higher power takes."""
+    ring = get_ring(name)
+    rng = random.Random(zlib.crc32(name.encode()) ^ 2)
+    for _ in range(40):
+        x = (random_homogeneous(ring, rng.randint(1, 6), rng, max_terms=4)
+             + random_homogeneous(ring, rng.randint(1, 6), rng, max_terms=2))
+        square = x * x
+        assert x ** 2 == square, x
+        assert x ** 4 == square * square, x
 
 
 def test_printing_orders_terms_and_factors():
