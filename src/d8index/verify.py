@@ -8,6 +8,12 @@ linear-algebra membership decision with brute-force enumeration.  Each
 index identity has one body in `indexes`, and the shrinking index
 chains theirs in `bounds.criterion_chains_shrink`; a suite only sets
 its range and its label, as the tests do with theirs.
+
+The three seeded samplers (the oracle's instances, the idempotence and
+the multiplicativity samples of `diagram`) draw through `Draws`, which
+reproduces what `random.Random(seed)` draws with `randint`, `sample`
+and `random` on CPython 3.10-3.13, without the per-call overhead of the
+stdlib API.  The recorded digests of the drawn samples rest on that.
 """
 
 import math
@@ -31,6 +37,62 @@ class Check(namedtuple("Check", "name ok detail", defaults=("",))):
 
 def _check(name, ok, detail=""):
     return Check(name, bool(ok), detail)
+
+
+class Draws:
+    """The draws of `random.Random(seed)`, value for value, from its
+    `getrandbits`, as on CPython 3.10-3.13.  `randint` is CPython's
+    `_randbelow_with_getrandbits` rejection loop: a value below n is
+    n.bit_length() bits, redrawn while >= n.  `sample` draws through it
+    and chooses, as CPython does, between a shrinking pool (when n is
+    at most 21, plus 4 ** ceil(log(3k, 4)) when k > 5) and a set of
+    taken indices.  `random` is the generator's own.  An empty range
+    raises ValueError."""
+
+    __slots__ = ("_bits", "random")
+
+    def __init__(self, seed):
+        rng = random.Random(seed)
+        self._bits = rng.getrandbits
+        self.random = rng.random
+
+    def randint(self, a, b):
+        """A uniform int in [a, b]."""
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range [{a}, {b}]")
+        bits, k = self._bits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return a + r
+
+    def sample(self, population, k):
+        """k distinct entries of the sequence, in draw order."""
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or is negative")
+        randint = self.randint
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if n <= setsize:
+            pool = list(population)
+            result = []
+            for i in range(n - 1, n - 1 - k, -1):
+                j = randint(0, i)
+                result.append(pool[j])
+                pool[j] = pool[i]
+            return result
+        taken = set()
+        result = []
+        for _ in range(k):
+            j = randint(0, n - 1)
+            while j in taken:
+                j = randint(0, n - 1)
+            taken.add(j)
+            result.append(population[j])
+        return result
 
 
 # ------------------------------------------------------------------ lemmas
@@ -76,15 +138,12 @@ def suite_diagram():
         checks.append(_check(f"rewrite confluence in {ring.name}",
                              ring.check_confluence()))
 
-    # raw monomials, normal or not, so that the rewrite rules fire
-    rng = random.Random(97)
+    draws = Draws(97)
     ok = True
     for ring in CATALOG.values():
         raw = {n: ring.all_exponents(n) for n in range(1, 11)}
         for _ in range(1000):
-            monos = raw[rng.randint(1, 10)]
-            once = ring.normal_form({m: rng.randint(1, 3) for m in
-                                     rng.sample(monos, min(3, len(monos)))})
+            once = ring.normal_form(_raw_terms(raw, draws))
             ok = ok and ring.normal_form(once) == once
     checks.append(_check("normal form is idempotent, 1000 samples per ring", ok))
 
@@ -105,19 +164,27 @@ def suite_diagram():
              for (node, sym), img in fixed.items())
     checks.append(_check("order-2 subgroup images fixed as declared", ok))
 
-    rng = random.Random(11)
+    draws = Draws(11)
     ok = True
     all_homs = (list(F2_DIAGRAM.edges.values()) + list(Z_DIAGRAM.edges.values())
                 + list(MOD2_REDUCTION.values()))
     for hom in all_homs:
         for _ in range(20):
-            p = random_homogeneous(hom.domain, rng.randint(1, 8), rng)
-            q = random_homogeneous(hom.domain, rng.randint(1, 8), rng)
+            p = random_homogeneous(hom.domain, draws.randint(1, 8), draws)
+            q = random_homogeneous(hom.domain, draws.randint(1, 8), draws)
             if hom(p * q) != hom(p) * hom(q):
                 ok = False
     checks.append(_check("homomorphisms are multiplicative on samples", ok))
 
     return checks
+
+
+def _raw_terms(raw, draws):
+    """Up to three monomials of one random degree 1..10, read from `raw`
+    (degree -> every exponent tuple, normal or not, so that the rewrite
+    rules fire), with coefficients 1..3."""
+    monos = raw[draws.randint(1, 10)]
+    return {m: draws.randint(1, 3) for m in draws.sample(monos, min(3, len(monos)))}
 
 
 # ----------------------------------------------------------------- indexes
@@ -210,7 +277,7 @@ def suite_oracle():
     builder's span as soon as it is drawn, then decided by
     `ideal_contains`, and dropped."""
     checks = []
-    rng = random.Random(1789)
+    draws = Draws(1789)
     for ring in CATALOG.values():
         if ring.coeff == "F2":
             deg_cap, slice_cap = 8, 15
@@ -218,7 +285,7 @@ def suite_oracle():
             deg_cap, slice_cap = 10, 8
         mismatches = 0
         for _ in range(ORACLE_INSTANCES):
-            gens, f, span = _random_instance(ring, rng, deg_cap, slice_cap)
+            gens, f, span = _random_instance(ring, draws, deg_cap, slice_cap)
             enumerated = span_contains_by_enumeration(span, f)
             mismatches += ideal_contains(gens, f) != enumerated
         checks.append(_check(

@@ -2,6 +2,7 @@
 lines, so a dropped or renamed check must fail here first."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -70,6 +71,68 @@ def test_chain_check_runs_the_replay(monkeypatch):
     monkeypatch.setattr(bounds, "criterion_chains_shrink", lambda top: False)
     failing = [check.name for check in run_suite("indexes") if not check.ok]
     assert failing == ["product index chains shrink as d grows, d <= 30"]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 97, 1789])
+def test_draws_match_the_stdlib_stream(seed):
+    """`Draws(seed)` draws what `random.Random(seed)` draws, call for call,
+    through interleaved `randint`, `sample` (the pool branch and the set
+    branch, k above and below 6) and `random`."""
+    ours, stdlib = verify.Draws(seed), random.Random(seed)
+    for n in range(1, 41):
+        population = tuple(range(n))
+        for k in range(1, min(n, 16) + 1):
+            assert ours.randint(1, n) == stdlib.randint(1, n)
+            assert ours.sample(population, k) == stdlib.sample(population, k)
+            assert ours.random() == stdlib.random()
+
+
+def test_draws_reject_an_empty_range():
+    """An empty range raises ValueError before a bit is drawn: the
+    rejection loop alone would redraw 0 bits forever, since 0 >= 0."""
+    draws = verify.Draws(0)
+
+    def no_bits(k):
+        raise AssertionError(f"drew {k} bits for an empty range")
+
+    draws._bits = no_bits
+    for a, b in ((1, 0), (5, 3)):
+        with pytest.raises(ValueError):
+            draws.randint(a, b)
+    for k in (3, -1):
+        with pytest.raises(ValueError):
+            draws.sample((1, 2), k)
+
+
+# sha256 over f"{terms}\n" for the 19,000 idempotence samples (19 catalog
+# rings x 1,000) and then f"{(p, q)}\n" for the 440 multiplicativity
+# pairs (22 maps x 20) that `suite_diagram` draws, as recorded with
+# `random.Random` before the samplers drew through `Draws`
+DIAGRAM_DIGEST = "1de0fac62ba8e2f987caf2a205c0b9e55586c5567fa9e8442c675c0ef3258b7b"
+
+
+def test_diagram_samplers_draw_the_recorded_samples(monkeypatch):
+    samples, elements = [], []
+    raw_terms, homogeneous = verify._raw_terms, verify.random_homogeneous
+
+    def recorded_terms(*args):
+        samples.append(raw_terms(*args))
+        return samples[-1]
+
+    def recorded_element(*args, **kwargs):
+        elements.append(homogeneous(*args, **kwargs))
+        return elements[-1]
+
+    monkeypatch.setattr(verify, "_raw_terms", recorded_terms)
+    monkeypatch.setattr(verify, "random_homogeneous", recorded_element)
+    assert all(check.ok for check in verify.suite_diagram())
+    assert (len(samples), len(elements)) == (19_000, 2 * 440)
+    digest = hashlib.sha256()
+    for terms in samples:
+        digest.update(f"{terms}\n".encode())
+    for pair in zip(elements[::2], elements[1::2]):
+        digest.update(f"{pair}\n".encode())
+    assert digest.hexdigest() == DIAGRAM_DIGEST
 
 
 # sha256 over f"{(gens, f)}\n" for every instance `suite_oracle` builds,
