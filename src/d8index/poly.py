@@ -69,13 +69,8 @@ class GradedSlice:
         self.degree = degree
         self.basis = tuple(ring.monomials(degree))
         self.index = {m: i for i, m in enumerate(reversed(self.basis))}
-        if all(o == 2 for o in ring.orders):
-            # no monomial has order 4: each non-constant one has an
-            # order-2 factor, and 1 has order 2 (F2) or 0 (Z)
-            self.mask4 = 0
-        else:
-            order = ring.monomial_order
-            self.mask4 = sum(1 << i for m, i in self.index.items() if order(m) == 4)
+        order = ring.monomial_order
+        self.mask4 = sum(1 << i for m, i in self.index.items() if order(m) == 4)
 
     def __len__(self):
         return len(self.basis)

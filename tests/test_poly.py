@@ -130,18 +130,6 @@ def test_graded_slice_orders():
     assert slice8.degree == 8
 
 
-def test_slice_mask4_marks_the_order_4_monomials_of_every_catalog_ring():
-    """A ring whose generators all have order 2 (every F2 ring, and the Z
-    rings H1_Z, H3_Z, K3_Z, Z2xZ2_Z and Z2_Z) gets mask4 = 0 without
-    asking each monomial's order; the others ask."""
-    for ring in CATALOG.values():
-        for degree in range(25):
-            slice_ = GradedSlice(ring, degree)
-            assert slice_.mask4 == sum(
-                1 << i for m, i in slice_.index.items()
-                if ring.monomial_order(m) == 4), (ring.name, degree)
-
-
 def test_graded_slice_is_reused_at_one_degree():
     """A slice is returned again after asks of other rings and degrees,
     and rebuilt only once `graded_slice` has been asked for as many other
