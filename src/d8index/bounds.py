@@ -159,8 +159,8 @@ def criterion_ideal(criterion, d):
 
 
 def _witness(criterion, d, j, failing):
-    """Wording of a verdict, `failing` being the first target outside
-    I_d, or None."""
+    """Wording of a verdict of a registered criterion, `failing` being
+    the first target outside I_d, or None."""
     where = "decomposes over" if failing is None else "is outside"
     if criterion == "F2_D8":
         return (f"y^{j}*w^{j} {where} the degree-{3 * j} slice of "
@@ -170,10 +170,9 @@ def _witness(criterion, d, j, failing):
             return f"every generator of A_{j} lies in B_{d}"
         return (f"generator {failing} of A_{j} escapes B_{d} at degree "
                 f"{failing.degree()}")
-    if criterion == "H1_F2":
-        return (f"a^{j}*b^{j}*(a+b)^{j} {where} the degree-{3 * j} slice of "
-                f"<a^{d + 1}, (a+b)^{d + 1}>")
-    raise KeyError(f"unknown criterion {criterion!r}")
+    # H1_F2
+    return (f"a^{j}*b^{j}*(a+b)^{j} {where} the degree-{3 * j} slice of "
+            f"<a^{d + 1}, (a+b)^{d + 1}>")
 
 
 def criterion_chain_step(criterion, d):

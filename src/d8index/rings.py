@@ -19,7 +19,6 @@ and the one cache of monomial lists, live in `poly`.
 
 import re
 import sys
-from math import gcd
 from operator import add, mul, sub
 
 __all__ = [
@@ -280,18 +279,18 @@ class RingPresentation:
 
     def _strand_shape(self):
         """What `strand` reads, or None unless the ring is a strand ring:
-        at most two free generators u, v (in no rule pattern), h the gcd
-        of their degrees, and at most one rule g_i^p -> r, r one monomial
-        with coefficient 1, whose e*deg(g_i) for e < p are distinct
-        modulo h (which keeps g_i out of r).  A normal monomial of degree
-        n is then u^x v^y g_i^e with e fixed by n modulo h and (x, y) on
-        one progression.  The shape: h; by residue modulo h, g_i^e and
-        its degree, or None; u; v or None; a = deg(u)/h, c = deg(v)/h and
-        the inverse of a modulo c."""
+        exactly two free generators u before v (in no rule pattern), h =
+        deg(u) dividing deg(v), and at most one rule g_i^p -> r, r one
+        monomial with coefficient 1, whose e*deg(g_i) for e < p are
+        distinct modulo h (which keeps g_i out of r).  This is the shape
+        of every criterion ring: F2[y,w], the bound ring and F2[a,b].  A
+        normal monomial of degree n is then u^x v^y g_i^e with e fixed by
+        n modulo h and x + c*y fixed, c = deg(v)/h.  The shape: h; by
+        residue modulo h, g_i^e and its degree, or None; u; v; c."""
         rules, degs = self._rules, self.degrees
         free = [k for k in range(len(degs))
                 if all(pat[k] == 0 for _, pat, _ in rules)]
-        if not free or len(free) > 2 or len(rules) > 1:
+        if len(free) != 2 or len(rules) > 1 or degs[free[1]] % degs[free[0]]:
             return None
         i, p = 0, 1  # without a rule, e = 0 only
         if rules:
@@ -299,41 +298,34 @@ class RingPresentation:
             if len(support) > 1 or len(rep) != 1 or rep[0][1] != 1:
                 return None
             [(i, p)] = support
-        h = gcd(*(degs[k] for k in free))
+        u, v = free
+        h = degs[u]
         starts = [None] * h
         for e in range(p):
             if starts[e * degs[i] % h] is not None:
                 return None
             starts[e * degs[i] % h] = (
                 tuple(e if k == i else 0 for k in range(len(degs))), e * degs[i])
-        u, v = free if len(free) == 2 else (free[0], None)
-        a, c = degs[u] // h, 1 if v is None else degs[v] // h
-        return h, starts, u, v, a, c, pow(a, -1, c)
+        return h, starts, u, v, degs[v] // h
 
     def strand(self, degree):
         """(m0, count) for a strand ring, else None: the normal monomials
         of the degree are m0 + k*step, k < count, in ascending lex order
-        ((None, 0) when there are none), found by exponent arithmetic.  The
-        step, x += c and y -= a, is the same at every degree, so the
-        normal form of m*t moves one step when m does."""
+        ((None, 0) when there are none), found by exponent arithmetic:
+        with n = (degree - deg(g_i^e))/h, m0 has x = n mod c and y = n
+        div c, and count is y + 1.  The step, x += c and y -= 1, is the
+        same at every degree, so the normal form of m*t moves one step
+        when m does."""
         shape = self._strand
         if shape is None:
             return None
-        h, starts, u, v, a, c, inv = shape
+        h, starts, u, v, c = shape
         start = starts[degree % h]
         if start is None or degree < start[1]:
             return None, 0
         mono = list(start[0])
-        n = (degree - start[1]) // h
-        if v is None:
-            mono[u] = n
-            return tuple(mono), 1
-        x = n * inv % c  # the least x >= 0 with c | n - a*x
-        y = (n - a * x) // c
-        if y < 0:
-            return None, 0
-        mono[u], mono[v] = x, y
-        return tuple(mono), y // a + 1
+        mono[v], mono[u] = divmod((degree - start[1]) // h, c)
+        return tuple(mono), mono[v] + 1
 
     def all_exponents(self, degree):
         """Every exponent tuple of the given degree, normal or not, in
@@ -346,20 +338,20 @@ class RingPresentation:
         every call: the ring keeps no per-degree state, and a caller that
         asks for one degree again reads `poly.graded_slice(ring,
         degree).basis`, the same list as a tuple.  A strand ring steps
-        along `strand`'s progression, x += c and y -= a from m0; any
+        along `strand`'s progression, x += c and y -= 1 from m0; any
         other ring walks the staircase."""
         strand = self.strand(degree)
         if strand is None:
             return self._exponent_walk(degree, staircase=True)[::-1]
         low, count = strand
-        if count < 2:  # with one free generator, count is 0 or 1
-            return [low] if count else []
-        _, _, u, v, a, c, _ = self._strand
+        if not count:
+            return []
+        _, _, u, v, c = self._strand
         mono = list(low)
         x, y = low[u], low[v]
         out = []
         for k in range(count - 1, -1, -1):
-            mono[u], mono[v] = x + k * c, y - k * a
+            mono[u], mono[v] = x + k * c, y - k
             out.append(tuple(mono))
         return out
 

@@ -47,7 +47,7 @@ def _brute_span(columns, orders):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_howell_solve_matches_brute_force(seed):
+def test_z4_in_span_matches_brute_force(seed):
     rng = random.Random(seed)
     width = rng.randint(1, 3)
     columns = [tuple(rng.randrange(4) for _ in range(width))
@@ -59,7 +59,7 @@ def test_howell_solve_matches_brute_force(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_howell_solve_invariances(seed):
+def test_z4_in_span_invariances(seed):
     """Solvability is unchanged by permuting columns and by scaling any
     column by a unit of Z/4."""
     rng = random.Random(100 + seed)

@@ -362,21 +362,26 @@ def test_monomial_basis_is_sorted_and_normal():
     assert all(m[1] <= 1 for m in bound.monomials(12))  # M^2 rewrites away
 
 
-# presentations made here to reach the strand cases the catalog does not:
-# coprime free degrees, and a bounded generator first in lex order whose
-# rule rewrites its cube
+# presentations made here: free degrees 2 and 3, which the strand shape
+# excludes, and a strand ring with a bounded generator first in lex order
+# whose rule rewrites its cube
 COPRIME_F2 = RingPresentation("UV23_F2", "F2", ("u", "v"), (2, 3))
 CUBE_Z = RingPresentation("BUV_Z", "Z", ("b", "u", "v"), (1, 3, 6), (2, 2, 4),
                           relations=[((3, 0, 0), {(0, 1, 0): 1})])
-NON_STRAND_CATALOG = {"D8_F2", "H2_F2", "D8_Z_FULL", "H1_Z", "H3_Z", "Z2xZ2_Z"}
-STRAND_RINGS = [YW_F2, COPRIME_F2, CUBE_Z,
+# one free generator: off the strand path, with a staircase of one monomial
+ONE_FREE_CATALOG = {"H2_Z", "K1_F2", "K2_F2", "K3_F2", "K4_F2", "K5_F2", "K3_Z",
+                    "Z2_F2", "Z2_Z"}
+NON_STRAND_CATALOG = {"D8_F2", "H2_F2", "D8_Z_FULL", "H1_Z", "H3_Z", "Z2xZ2_Z",
+                      *ONE_FREE_CATALOG}
+STRAND_RINGS = [YW_F2, CUBE_Z,
                 *(r for name, r in CATALOG.items() if name not in NON_STRAND_CATALOG)]
 
 
 def test_catalog_rings_that_are_not_strands():
     """Zero products (x*y -> 0, e^2 -> 0) and two-term rules keep a ring
-    off the strand path, and so do three free generators, or a bounded
-    generator whose powers do not fix the degree modulo the free ones."""
+    off the strand path, and so do one or three free generators, a first
+    free degree that does not divide the second, or a bounded generator
+    whose powers do not fix the degree modulo the free ones."""
     assert {name for name, r in CATALOG.items()
             if r.strand(0) is None} == NON_STRAND_CATALOG
     assert all(r.strand(0) is not None for r in STRAND_RINGS)
@@ -394,13 +399,24 @@ def _steps(ascending):
             for m, m_next in zip(ascending, ascending[1:])}
 
 
-@pytest.mark.parametrize("ring", STRAND_RINGS, ids=lambda ring: ring.name)
+@pytest.mark.parametrize(
+    "ring", [*STRAND_RINGS, COPRIME_F2, *map(get_ring, sorted(ONE_FREE_CATALOG))],
+    ids=lambda ring: ring.name)
 def test_strand_closed_form_matches_the_staircase(ring):
     """In ascending lex order each degree's normal monomials, as the
     staircase walk lists them, are `strand`'s m0 + k*step, k < count,
-    with one step at every degree."""
+    with one step at every degree.  A ring off the strand path (one free
+    generator, or free degrees 2 and 3) has no closed form at any degree:
+    `strand` is None, and `monomials` lists the normal tuples of
+    `all_exponents`, in descending order."""
+    is_strand = ring in STRAND_RINGS
     steps = set()
     for n in range(-2, 301):
+        if not is_strand:
+            assert ring.strand(n) is None, n
+            assert ring.monomials(n) == [m for m in ring.all_exponents(n)[::-1]
+                                         if ring.is_normal_monomial(m)], n
+            continue
         ascending = ring._exponent_walk(n, staircase=True)
         low, count = ring.strand(n)
         assert count == len(ascending), n
