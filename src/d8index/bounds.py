@@ -123,17 +123,17 @@ def criterion_targets(criterion, j):
     """The elements a criterion certifies (d, j) with when one lies
     outside I_d: y^j w^j for F2_D8, the generators of A_j for Z_D8 and
     a^j b^j (a+b)^j for H1_F2, written out by Lucas' rule: its terms are
-    a^(j+k) b^(2j-k) for the k with binom(j, k) odd.  Every target is
-    built from normal monomials, without the checks of `element`."""
+    a^(j+k) b^(2j-k) for the k with binom(j, k) odd.  Every target's
+    terms are normal monomials with coefficient 1, so it is built from
+    them as written, without `element` or `normal_form`."""
     _check_positive(j=j)
     if criterion == "F2_D8":
-        return [RingElement(YW_F2, YW_F2.normal_form({(j, j): 1}))]
+        return [RingElement(YW_F2, {(j, j): 1})]
     if criterion == "Z_D8":
         return list(index_sphere_r4j_z(j))
     if criterion == "H1_F2":
-        return [RingElement(H1_F2, H1_F2.normal_form(
-            {(j + k, 2 * j - k): 1 for k in range(j + 1)
-             if lucas_binom_mod2(j, k)}))]
+        return [RingElement(H1_F2, {(j + k, 2 * j - k): 1 for k in range(j + 1)
+                                    if lucas_binom_mod2(j, k)})]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -153,8 +153,7 @@ def criterion_ideal(criterion, d):
     if criterion == "Z_D8":
         return list(index_product_spheres_z(d))
     if criterion == "H1_F2":
-        return [RingElement(H1_F2, H1_F2.normal_form({m: 1}))
-                for m in ((d + 1, 0), (0, d + 1))]
+        return [RingElement(H1_F2, {m: 1}) for m in ((d + 1, 0), (0, d + 1))]
     raise KeyError(f"unknown criterion {criterion!r}")
 
 
@@ -219,29 +218,30 @@ def criterion_chains_shrink(top):
 
 # -------------------------------------------------------------- Delta bounds
 
-def ramos_lower(j, k):
-    """Lower bound ceil((2^k - 1) j / k) for the minimal admissible d."""
-    if j < 0 or k < 1:
-        raise ValueError("need j >= 0 and k >= 1")
-    return -(-(2 ** k - 1) * j // k)
+def ramos_lower(j):
+    """Lower bound ceil(3j/2) for the minimal admissible d."""
+    if j < 0:
+        raise ValueError("need j >= 0")
+    return -(-3 * j // 2)
 
 
-def mvz_upper(j, k):
-    """Upper bound 2^(k+q-1) + r for the minimal admissible d, where
+def mvz_upper(j):
+    """Upper bound 2^(q+1) + r for the minimal admissible d, where
     j = 2^q + r with 0 <= r < 2^q."""
-    if j < 1 or k < 1:
-        raise ValueError("need j >= 1 and k >= 1")
+    if j < 1:
+        raise ValueError("need j >= 1")
     q = j.bit_length() - 1
     r = j - (1 << q)
-    return 2 ** (k + q - 1) + r
+    return 2 ** (q + 1) + r
 
 
 def default_scan_cap(j):
-    return max(2 * mvz_upper(j, 2), 24)
+    """The default d cap of `min_certified_d`: 2 * mvz_upper(j), at least 24."""
+    return max(2 * mvz_upper(j), 24)
 
 
 def expected_min_d(j, criterion):
-    """The least d the criterion is expected to certify: mvz_upper(j, 2)
+    """The least d the criterion is expected to certify: mvz_upper(j)
     = 2^(q+1) + r for j = 2^q + r, 0 <= r < 2^q, except 2j + 1 for
     Z_D8 at j = 2^k - 1.
 
@@ -270,7 +270,7 @@ def expected_min_d(j, criterion):
         raise KeyError(f"unknown criterion {criterion!r}")
     if criterion == "Z_D8" and j & (j + 1) == 0:
         return 2 * j + 1
-    return mvz_upper(j, 2)
+    return mvz_upper(j)
 
 
 def min_certified_d(j, criterion, d_cap=None):
@@ -279,9 +279,9 @@ def min_certified_d(j, criterion, d_cap=None):
     Certification is upward closed in d, since each criterion's ideals
     shrink as d grows (`criterion_chains_shrink`).  So if d is certified
     and d - 1 is not, d is the least certified d.  The scan checks that
-    for d = `expected_min_d` (or d_cap, if that is smaller) with two
-    verdicts.  On a miss it bisects the range the two verdicts leave:
-    above d if d is not certified, below d - 1 if d - 1 is.
+    for d = `expected_min_d`, moved into [1, d_cap], with two verdicts.
+    On a miss it bisects the range the two verdicts leave: above d if d
+    is not certified, below d - 1 if d - 1 is.
     """
     _check_positive(j=j)
     if criterion not in CRITERION_REGISTRY:
@@ -306,13 +306,14 @@ def min_certified_d(j, criterion, d_cap=None):
 
 
 def bound_report(j, scan_cap=None):
+    """Both classical bounds and each criterion's least certified d for j."""
     _check_positive(j=j)
     if scan_cap is None:
         scan_cap = default_scan_cap(j)
     return BoundReport(
         j=j,
-        ramos_lower=ramos_lower(j, 2),
-        mvz_upper=mvz_upper(j, 2),
+        ramos_lower=ramos_lower(j),
+        mvz_upper=mvz_upper(j),
         f2_min_d=min_certified_d(j, "F2_D8", scan_cap),
         z_min_d=min_certified_d(j, "Z_D8", scan_cap),
         h1_min_d=min_certified_d(j, "H1_F2", scan_cap),

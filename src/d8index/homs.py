@@ -254,12 +254,13 @@ def lift_bound_to_full(element):
 
     A substitution on normal forms, not a ring map (it does not respect
     M^2 = W*Y); exact here because bound-ring normal monomials map to
-    X-free full-ring normal monomials of the same additive order.
+    X-free full-ring normal monomials of the same additive order, so the
+    lifted terms are built as written, without `element` or `normal_form`.
     """
     if element.ring != D8_Z_BOUND:
         raise RingMismatchError("expected an element of the bound ring")
-    terms = {(0,) + mono: c for mono, c in element.terms.items()}
-    return D8_Z_FULL.element(terms)
+    return RingElement(D8_Z_FULL, {(0,) + mono: c
+                                   for mono, c in element.terms.items()})
 
 
 def restriction(src, dst, coeff):

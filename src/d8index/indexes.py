@@ -67,7 +67,8 @@ def _pi_family(ring, y_sym, w_sym, d):
     """p_d = sum of w^i y^(d-2i) over the i with binom(d-1-i, i) odd,
     written term by term: p_0 = 0, p_1 = y.  It solves the recurrence
     p_(d+1) = y*p_d + w*p_(d-1) (`recurrence_matches_binomial`).  Its
-    terms are normal monomials, so they skip the checks of `element`."""
+    terms are normal monomials with coefficient 1, so the element is
+    built from them as written, without `element` or `normal_form`."""
     if d < 0:
         raise ValueError("d must be >= 0")
     iy, iw = ring.gens.index(y_sym), ring.gens.index(w_sym)
@@ -77,7 +78,7 @@ def _pi_family(ring, y_sym, w_sym, d):
             mono = [0] * len(ring.gens)
             mono[iy], mono[iw] = d - 2 * i, i
             terms[tuple(mono)] = 1
-    return RingElement(ring, ring.normal_form(terms))
+    return RingElement(ring, terms)
 
 
 def pi_poly(d):
@@ -122,8 +123,7 @@ def index_sphere_r4j_z(j):
         raise ValueError("j must be >= 1")
     h = (j + 1) // 2  # each generator is one normal monomial in (Y, M, W)
     monos = [(h, 0, h)] if j % 2 == 0 else [(h, 1, h - 1), (h, 0, h)]
-    return tuple(RingElement(D8_Z_BOUND, D8_Z_BOUND.normal_form({m: 1}))
-                 for m in monos)
+    return tuple(RingElement(D8_Z_BOUND, {m: 1}) for m in monos)
 
 
 def index_product_spheres_f2(d, kind="partial"):

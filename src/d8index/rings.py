@@ -525,16 +525,13 @@ class RingElement:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        """self^n by repeated squaring, the result starting at the lowest
-        square self^(2^k) that n needs; n = 0 gives `ring.one()`.  An F2
-        element squares term by term, since (sum m)^2 = sum m^2 in
-        characteristic 2 (distinct m have distinct squares)."""
+        """self^n by repeated squaring, base * base in every ring, the
+        result starting at the lowest square self^(2^k) that n needs;
+        n = 0 gives `ring.one()`."""
         if n < 0:
             raise ValueError("negative power")
-        ring = self.ring
         if n == 0:
-            return ring.one()
-        f2 = ring.coeff == "F2"
+            return self.ring.one()
         result, base = None, self
         while True:
             if n & 1:
@@ -542,11 +539,7 @@ class RingElement:
             n >>= 1
             if not n:
                 return result
-            if f2:
-                base = RingElement(ring, ring.normal_form(
-                    {tuple(e + e for e in m): 1 for m in base.terms}))
-            else:
-                base = base * base
+            base = base * base
 
     # -- printing ----------------------------------------------------------
 

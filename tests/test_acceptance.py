@@ -33,7 +33,7 @@ def test_criterion_1_equality_cases():
     expected = {1: 2, 3: 5, 7: 11}
     for j, d in expected.items():
         found = min_certified_d(j, "F2_D8", 24)
-        if not (found == d == ramos_lower(j, 2) == mvz_upper(j, 2)):
+        if not (found == d == ramos_lower(j) == mvz_upper(j)):
             failures.append((j, found))
     _report(1, "minimal certified d matches both bounds for j in {1,3,7}",
             failures)
@@ -52,7 +52,7 @@ def z_closed_form_min_d(j):
     """Least d the Z criterion certifies, in closed form: the upper bound
     2^(q+1)+r, except 2j+1 at j = 2^k - 1, where the integral index is
     strictly weaker than the (Z2)^2 bound."""
-    return 2 * j + 1 if j & (j + 1) == 0 else mvz_upper(j, 2)
+    return 2 * j + 1 if j & (j + 1) == 0 else mvz_upper(j)
 
 
 def test_criterion_2_bound_coincidence():
@@ -74,12 +74,12 @@ def test_criterion_2_bound_coincidence():
 def test_criterion_3_no_improvement_for_z():
     failures = []
     for j in range(1, 65):
-        d = mvz_upper(j, 2) - 1
+        d = mvz_upper(j) - 1
         if not ideal_subset(index_sphere_r4j_z(j), index_product_spheres_z(d)):
             failures.append(("inclusion", j, d))
     for j in range(1, 13):
         z_min = min_certified_d(j, "Z_D8", 24)
-        if z_min is not None and z_min < mvz_upper(j, 2):
+        if z_min is not None and z_min < mvz_upper(j):
             failures.append(("min_d", j, z_min))
     _report(3, "A_j inside B_(2^(q+1)+r-1), so the Z criterion never "
                "certifies below the upper bound; inclusion for j <= 64", failures)
@@ -138,7 +138,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_soundness_guard():
     failures = []
     for j in range(1, 11):
-        for d in range(1, min(ramos_lower(j, 2), 25)):
+        for d in range(1, min(ramos_lower(j), 25)):
             for criterion in ("F2_D8", "Z_D8", "H1_F2"):
                 if admissible(d, j, criterion).certified:
                     failures.append((criterion, d, j))

@@ -1,3 +1,4 @@
+import random
 from bisect import bisect_left
 
 import pytest
@@ -11,12 +12,12 @@ from d8index.bounds import (CRITERION_REGISTRY, AdmissibilityVerdict,
                             expected_min_d, min_certified_d, mvz_upper,
                             ramos_lower, verify_inclusion_power_case,
                             verify_inclusion_steps, verify_membership_transfer)
-from d8index.homs import RingHom
-from d8index.indexes import (index_product_spheres_z, index_sphere_r4j_z,
-                             pi_poly)
+from d8index.homs import RingHom, lift_bound_to_full
+from d8index.indexes import (capital_pi_poly, index_product_spheres_z,
+                             index_sphere_r4j_z, pi_in_d8, pi_poly)
 from d8index.poly import ideal_contains, ideal_subset
 from d8index.rings import YW_F2, get_ring
-from d8index.verify import Check
+from d8index.verify import Check, random_homogeneous
 
 BOUND = get_ring("D8_Z_BOUND")
 H1 = get_ring("H1_F2")
@@ -92,17 +93,21 @@ def test_a_and_b_ideal_examples():
 
 
 def test_ramos_lower():
-    assert ramos_lower(1, 2) == 2
-    assert ramos_lower(3, 2) == 5
-    assert ramos_lower(0, 2) == 0
-    assert ramos_lower(7, 2) == 11
+    assert ramos_lower(1) == 2
+    assert ramos_lower(3) == 5
+    assert ramos_lower(0) == 0
+    assert ramos_lower(7) == 11
+    with pytest.raises(ValueError):
+        ramos_lower(-1)
 
 
 def test_mvz_upper():
-    assert mvz_upper(1, 2) == 2
-    assert mvz_upper(3, 2) == 5
-    assert mvz_upper(5, 2) == 9
-    assert mvz_upper(12, 2) == 20
+    assert mvz_upper(1) == 2
+    assert mvz_upper(3) == 5
+    assert mvz_upper(5) == 9
+    assert mvz_upper(12) == 20
+    with pytest.raises(ValueError):
+        mvz_upper(0)
 
 
 def test_min_certified_d():
@@ -230,7 +235,7 @@ def test_expected_min_d_is_the_acceptance_closed_forms():
     """Pure arithmetic: acceptance criterion 2 keeps its own closed forms."""
     for j in range(1, 1025):
         h1 = h1_closed_form_min_d(j)
-        assert expected_min_d(j, "F2_D8") == h1 == mvz_upper(j, 2), j
+        assert expected_min_d(j, "F2_D8") == h1 == mvz_upper(j), j
         assert expected_min_d(j, "H1_F2") == h1, j
         assert expected_min_d(j, "Z_D8") == z_closed_form_min_d(j), j
     with pytest.raises(KeyError):
@@ -249,10 +254,10 @@ def test_f2_verdicts_match_sympy_groebner():
     y, w = sympy.symbols("y w")
     Y, W = (sympy.Poly(v, y, w, modulus=2) for v in (y, w))
     pi = [Y - Y, Y]
-    while len(pi) < mvz_upper(16, 2) + 3:
+    while len(pi) < mvz_upper(16) + 3:
         pi.append(pi[-1] * Y + pi[-2] * W)
     for j in range(1, 17):
-        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+        for d in (mvz_upper(j) - 1, mvz_upper(j)):
             groebner = sympy.groebner([pi[d + 1], pi[d + 2]], y, w, modulus=2)
             member = groebner.contains(y ** j * w ** j)
             assert member != admissible(d, j, "F2_D8").certified, (d, j)
@@ -294,10 +299,10 @@ def test_f2_verdicts_are_grassmannian_memberships():
     `F2_D8` certifies (d, j) iff w1^(j-1) w2^j is not 0 in the cohomology
     of the Grassmannian of 2-planes in R^(d+1).  Both verdicts of each
     table row, d = mvz(j) - 1 and d = mvz(j), for j <= 64."""
-    wbar = _wbar(mvz_upper(64, 2) + 1)
+    wbar = _wbar(mvz_upper(64) + 1)
     for j in range(1, 65):
         target = YW_F2.element({(j - 1, j): 1})
-        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+        for d in (mvz_upper(j) - 1, mvz_upper(j)):
             member = ideal_contains([wbar[d], wbar[d + 1]], target)
             assert member != admissible(d, j, "F2_D8").certified, (d, j)
 
@@ -336,7 +341,7 @@ def test_h1_verdicts_match_the_paper_ideal():
     a, b = (H1.gen(s) for s in ("a", "b"))
     for j in range(1, 33):
         [target] = criterion_targets("H1_F2", j)
-        for d in (mvz_upper(j, 2) - 1, mvz_upper(j, 2)):
+        for d in (mvz_upper(j) - 1, mvz_upper(j)):
             inside = ideal_contains([a ** (d + 1), (a + b) ** (d + 1)], target)
             assert inside == (not admissible(d, j, "H1_F2").certified), (d, j)
 
@@ -354,6 +359,32 @@ def test_criterion_targets():
         criterion_targets("F3_D8", 2)
     with pytest.raises(ValueError):
         criterion_targets("H1_F2", 0)
+
+
+def _is_its_own_normal_form(e):
+    return e.terms == e.ring.normal_form(dict(e.terms))
+
+
+def test_closed_forms_are_their_own_normal_forms():
+    """The closed forms that are built without `normal_form` (pi_d, Pi_d,
+    pi_d in H*(D8;F2), the criterion targets, the H1 ideal and the lift
+    to the full ring) are what `normal_form` would make of their terms."""
+    for d in range(301):
+        for family in (pi_poly, capital_pi_poly, pi_in_d8):
+            assert _is_its_own_normal_form(family(d)), (family.__name__, d)
+    for j in range(1, 301):
+        for criterion in CRITERION_REGISTRY:
+            for target in criterion_targets(criterion, j):
+                assert _is_its_own_normal_form(target), (criterion, j)
+    for d in range(1, 301):
+        for g in criterion_ideal("H1_F2", d):
+            assert _is_its_own_normal_form(g), d
+    lifted = [capital_pi_poly(d) for d in range(101)]
+    rng = random.Random(33)
+    lifted += [random_homogeneous(BOUND, rng.randint(0, 60), rng, max_terms=6)
+               for _ in range(300)]
+    for e in lifted:
+        assert _is_its_own_normal_form(lift_bound_to_full(e)), e
 
 
 def test_criteria_read_their_ideal_from_criterion_ideal(monkeypatch):

@@ -82,12 +82,12 @@ def _assert_admissible_json(capsys, j, cases):
 
 
 def test_admissible_full_json_at_j8(capsys):
-    # d = 15, 16 straddle mvz_upper(8, 2) = 16
+    # d = 15, 16 straddle mvz_upper(8) = 16
     _assert_admissible_json(capsys, 8, ADMISSIBLE_J8)
 
 
 def test_admissible_full_json_at_j255(capsys):
-    # d = 383 = mvz_upper(255, 2) - 1: the deep slices of degree 765
+    # d = 383 = mvz_upper(255) - 1: the deep slices of degree 765
     _assert_admissible_json(capsys, 255, ADMISSIBLE_J255)
 
 

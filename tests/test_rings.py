@@ -577,10 +577,9 @@ def test_power_is_repeated_multiplication(name):
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_RING_IDS if n.endswith("_F2")])
-def test_f2_square_is_the_product_with_itself(name):
-    """`**` squares an F2 element term by term; on random elements of
-    every F2 catalog ring, with up to six terms over two degrees, that
-    is base * base, and so is every square a higher power takes."""
+def test_f2_powers_are_repeated_products(name):
+    """On random elements of every F2 catalog ring, with up to six terms
+    over two degrees, x^2 is x * x and x^4 is (x * x) * (x * x)."""
     ring = get_ring(name)
     rng = random.Random(zlib.crc32(name.encode()) ^ 2)
     for _ in range(40):
