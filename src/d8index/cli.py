@@ -30,7 +30,7 @@ TABLE_COLUMNS = ("j", "ramos", "mvz", "f2_min_d", "z_min_d", "h1_min_d")
 # does not load `verify`; tests/test_cli.py pins the two together
 SUITE_CHOICES = ("lemmas", "diagram", "indexes", "oracle", "all")
 
-# the largest `verify --max-degree`: the indexes suite takes about 8 s
+# the largest `verify --max-degree`: the indexes suite takes about 5.5 s
 # at degree 1,024 and grows faster than linearly past it
 MAX_VERIFY_DEGREE = 1024
 

@@ -129,7 +129,7 @@ def suite_diagram():
       construction that each generator image kills the generator's
       torsion and that every relation is respected, so a map applied
       monomial-wise to normal forms is a ring map, once normal forms are
-      well defined (the confluence lines).
+      well defined in every degree (the confluence lines).
     """
     from .homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM,
                        check_reduction_cube, restriction)

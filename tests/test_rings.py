@@ -114,6 +114,75 @@ def test_confluence_check_can_fail():
     assert not NON_CONFLUENT.check_confluence()
 
 
+def _confluent_to_degree(ring, top):
+    """Reference sweep: every monomial of degree <= top, rewritten once
+    by each matching rule, has one normal form."""
+    for degree in range(top + 1):
+        for mono in ring.all_exponents(degree):
+            # rep's monomials are distinct, so are their shifts
+            firsts = [ring.normal_form(dict(ring._rewrite(mono, 1, pat, rep)))
+                      for support, pat, rep in ring._rules
+                      if all(mono[i] >= p for i, p in support)]
+            if firsts and any(f != firsts[0] for f in firsts[1:]):
+                return False
+    return True
+
+
+def _random_presentation(rng):
+    """An F2 or Z ring on 2-3 generators of degree 1-3 (order 2 or 4 in
+    a Z ring) with 2-4 rules: pattern exponents 0-2, each replaced by 0-2
+    monomials of its degree with coefficients 1-3; None when
+    construction refuses it."""
+    coeff = rng.choice(("F2", "Z"))
+    n = rng.randint(2, 3)
+    degrees = tuple(rng.randint(1, 3) for _ in range(n))
+    orders = tuple(rng.choice((2, 4)) for _ in range(n)) if coeff == "Z" else None
+    relations = []
+    for _ in range(rng.randint(2, 4)):
+        pat = tuple(rng.randint(0, 2) for _ in range(n))
+        degree = sum(e * d for e, d in zip(pat, degrees))
+        same = [m for m in itertools.product(*(range(degree // d + 1) for d in degrees))
+                if sum(e * d for e, d in zip(m, degrees)) == degree]
+        picked = rng.sample(same, min(len(same), rng.randint(0, 2)))
+        relations.append((pat, {m: rng.randint(1, 3) for m in picked}))
+    try:
+        return RingPresentation("random", coeff, "uvw"[:n], degrees, orders,
+                                relations)
+    except ValueError:
+        return None
+
+
+def test_confluence_matches_the_degree_sweep_on_random_presentations():
+    """The pairs-of-rules decision agrees with the sweep run 8 degrees
+    past the largest lcm of two patterns, on seeded random presentations
+    of both verdicts."""
+    rng = random.Random(34)
+    verdicts = []
+    while len(verdicts) < 1000:
+        ring = _random_presentation(rng)
+        if ring is None:
+            continue
+        top = max(ring.monomial_degree(tuple(map(max, p, q)))
+                  for (_, p, _), (_, q, _) in itertools.combinations(ring._rules, 2))
+        verdict = ring.check_confluence()
+        assert verdict == _confluent_to_degree(ring, top + 8), ring.relations
+        verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_confluence_lists_no_monomials(monkeypatch):
+    """`check_confluence` works from the rules alone: it never lists the
+    exponent tuples of a degree."""
+    def refuse(self, *args):
+        raise AssertionError("check_confluence listed monomials")
+
+    monkeypatch.setattr(RingPresentation, "all_exponents", refuse)
+    monkeypatch.setattr(RingPresentation, "_exponent_walk", refuse)
+    for ring in (*CATALOG.values(), YW_F2):
+        assert ring.check_confluence(), ring.name
+    assert not NON_CONFLUENT.check_confluence()
+
+
 @pytest.mark.parametrize("name", ALL_RING_IDS)
 def test_normal_form_idempotent(name):
     ring = get_ring(name)
