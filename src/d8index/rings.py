@@ -69,8 +69,9 @@ class RingPresentation:
     degrees agree) and is refused as unoriented.  In a Z ring
     construction also rejects a replacement term c*m that the pattern's
     additive order o does not kill (o*c not 0 modulo the order of m),
-    judged from the order classes alone, without rewriting.
-    `check_confluence` decides confluence in every degree from rule pairs.
+    judged from the order classes alone, without rewriting.  Last, it
+    rejects a rule set that `check_confluence` rejects: no normal form
+    depends on the order the rules are listed in.
 
     Construction compiles what `normal_form` needs for every monomial:
     each rule's pattern support as (index, exponent) pairs, the indices
@@ -124,6 +125,8 @@ class RingPresentation:
         if 0 in directions or len(directions) > 1:
             raise ValueError("no lexicographic direction orients every relation: "
                              "rewriting may not terminate")
+        if not self.check_confluence():
+            raise ValueError("the relations are not confluent: rule order would matter")
         self._symbols = {s: i for i, s in enumerate(self.gens)}
         # factors print in descending generator degree, ties by position
         self._print_order = sorted(range(len(self.gens)),
@@ -234,7 +237,7 @@ class RingPresentation:
         match it as a monomial multiple of their lcm, so joinability at
         the lcm carries to every multiple and Newman's lemma gives
         confluence (Baader-Nipkow, Term Rewriting and All That, 1998).
-        Construction already refuses a rule the torsion does not kill."""
+        Construction refuses a rule set this rejects, after the torsion check."""
         for k, (_, pat, rep) in enumerate(self._rules):
             for _, pat2, rep2 in self._rules[k + 1:]:
                 lcm = tuple(map(max, pat, pat2))

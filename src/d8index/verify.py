@@ -35,10 +35,6 @@ class Check(namedtuple("Check", "name ok detail", defaults=("",))):
     __slots__ = ()
 
 
-def _check(name, ok, detail=""):
-    return Check(name, bool(ok), detail)
-
-
 class Draws:
     """The draws of `random.Random(seed)`, value for value, from its
     `getrandbits`, as on CPython 3.10-3.13.  `randint` is CPython's
@@ -99,19 +95,19 @@ class Draws:
 
 def suite_lemmas():
     return [
-        _check("binomial parity rule, n < 64",
-               all(indexes.lucas_binom_mod2(n, k) == math.comb(n, k) % 2
-                   for n in range(64) for k in range(n + 1))),
-        _check("Pi at powers of two collapses to Y^(2^q), "
-               f"q <= {indexes.POWERS_OF_TWO_Q}",
-               indexes.capital_pi_powers_of_two_hold()),
-        *(_check(f"A_(2^{q}) inside B_(2^{q + 1}-1)",
-                 bounds.verify_inclusion_power_case(q)) for q in range(1, 5)),
-        _check("inclusion step A_j->A_(j+1), j <= 12, d <= 24",
-               bounds.verify_inclusion_steps(12, 24)),
-        _check("membership transfer in F2[a,c], d <= 20, j <= 10",
-               all(bounds.verify_membership_transfer(d, j)
-                   for j in range(1, 11) for d in range(1, 21))),
+        Check("binomial parity rule, n < 64",
+              all(indexes.lucas_binom_mod2(n, k) == math.comb(n, k) % 2
+                  for n in range(64) for k in range(n + 1))),
+        Check("Pi at powers of two collapses to Y^(2^q), "
+              f"q <= {indexes.POWERS_OF_TWO_Q}",
+              indexes.capital_pi_powers_of_two_hold()),
+        *(Check(f"A_(2^{q}) inside B_(2^{q + 1}-1)",
+                bounds.verify_inclusion_power_case(q)) for q in range(1, 5)),
+        Check("inclusion step A_j->A_(j+1), j <= 12, d <= 24",
+              bounds.verify_inclusion_steps(12, 24)),
+        Check("membership transfer in F2[a,c], d <= 20, j <= 10",
+              all(bounds.verify_membership_transfer(d, j)
+                  for j in range(1, 11) for d in range(1, 21))),
     ]
 
 
@@ -128,15 +124,15 @@ def suite_diagram():
     - homomorphisms are multiplicative: `RingHom._validate` checks at
       construction that each generator image kills the generator's
       torsion and that every relation is respected, so a map applied
-      monomial-wise to normal forms is a ring map, once normal forms are
-      well defined in every degree (the confluence lines).
+      monomial-wise to normal forms is a ring map; construction refuses
+      rules that are not confluent, so normal forms are well defined.
     """
     from .homs import (F2_DIAGRAM, MOD2_REDUCTION, Z_DIAGRAM,
                        check_reduction_cube, restriction)
     checks = []
     for ring in (*CATALOG.values(), YW_F2):
-        checks.append(_check(f"rewrite confluence in {ring.name}",
-                             ring.check_confluence()))
+        checks.append(Check(f"rewrite confluence in {ring.name}",
+                            ring.check_confluence()))
 
     draws = Draws(97)
     ok = True
@@ -145,24 +141,24 @@ def suite_diagram():
         for _ in range(1000):
             once = ring.normal_form(_raw_terms(raw, draws))
             ok = ok and ring.normal_form(once) == once
-    checks.append(_check("normal form is idempotent, 1000 samples per ring", ok))
+    checks.append(Check("normal form is idempotent, 1000 samples per ring", ok))
 
     for diagram in (F2_DIAGRAM, Z_DIAGRAM):
         results = diagram.check_commutativity()
         ok = all(flag for _, flag in results)
-        checks.append(_check(
+        checks.append(Check(
             f"{diagram.coeff} diagram: {len(results)} route comparisons "
             "have equal generator images", ok))
 
     cube = check_reduction_cube()
-    checks.append(_check("mod-2 reduction cube commutes", all(f for _, f in cube)))
+    checks.append(Check("mod-2 reduction cube commutes", all(f for _, f in cube)))
 
     fixed = {("K1", "a"): "t1", ("K1", "b"): "t1",
              ("K2", "a"): "0", ("K2", "b"): "t2"}
     ok = all(restriction("H1", node, "F2")(H1_F2.gen(sym))
              == F2_DIAGRAM.rings[node].parse(img)
              for (node, sym), img in fixed.items())
-    checks.append(_check("order-2 subgroup images fixed as declared", ok))
+    checks.append(Check("order-2 subgroup images fixed as declared", ok))
 
     draws = Draws(11)
     ok = True
@@ -174,7 +170,7 @@ def suite_diagram():
             q = random_homogeneous(hom.domain, draws.randint(1, 8), draws)
             if hom(p * q) != hom(p) * hom(q):
                 ok = False
-    checks.append(_check("homomorphisms are multiplicative on samples", ok))
+    checks.append(Check("homomorphisms are multiplicative on samples", ok))
 
     return checks
 
@@ -193,28 +189,28 @@ def suite_indexes(max_degree=64):
     cap = max_degree
     chain_cap = min(cap, 30)
     return [
-        _check(f"recurrence matches binomial expansion, d <= {cap}",
-               indexes.recurrence_matches_binomial(cap)),
-        _check("generating function y/(1-y-w) to degree "
-               f"{indexes.GENERATING_FUNCTION_DEGREE}",
-               indexes.capital_pi_generating_function_holds()),
-        _check(f"restriction of pi_d is rho_d, d <= {cap}",
-               indexes.pi_restricts_to_rho(cap)),
-        _check(f"rho recurrence, d <= {cap}", indexes.rho_recurrence_holds(cap)),
-        _check(f"mod-2 reduction of Pi_d is pi_2d, d <= {cap}",
-               indexes.capital_pi_reduces_to_pi(cap)),
-        _check("join of <w> and <y> is the sphere index <y*w>",
-               indexes.join_gives_sphere_index()),
-        _check("join scheme gives no mod-2 obstruction, "
-               f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("F2")),
-        _check("join scheme gives no integral obstruction, "
-               f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("Z")),
-        _check(f"full-index restriction images, d <= {indexes.FULL_IMAGES_DEGREE}",
-               indexes.full_index_restriction_images_hold()),
-        _check(f"product index chains shrink as d grows, d <= {chain_cap}",
-               bounds.criterion_chains_shrink(chain_cap)),
-        _check("sphere index of the 2-plane matches the H1 value",
-               indexes.two_plane_sphere_index_matches_h1()),
+        Check(f"recurrence matches binomial expansion, d <= {cap}",
+              indexes.recurrence_matches_binomial(cap)),
+        Check("generating function y/(1-y-w) to degree "
+              f"{indexes.GENERATING_FUNCTION_DEGREE}",
+              indexes.capital_pi_generating_function_holds()),
+        Check(f"restriction of pi_d is rho_d, d <= {cap}",
+              indexes.pi_restricts_to_rho(cap)),
+        Check(f"rho recurrence, d <= {cap}", indexes.rho_recurrence_holds(cap)),
+        Check(f"mod-2 reduction of Pi_d is pi_2d, d <= {cap}",
+              indexes.capital_pi_reduces_to_pi(cap)),
+        Check("join of <w> and <y> is the sphere index <y*w>",
+              indexes.join_gives_sphere_index()),
+        Check("join scheme gives no mod-2 obstruction, "
+              f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("F2")),
+        Check("join scheme gives no integral obstruction, "
+              f"j <= {indexes.JOIN_SCHEME_J}", indexes.join_scheme_vanishes("Z")),
+        Check(f"full-index restriction images, d <= {indexes.FULL_IMAGES_DEGREE}",
+              indexes.full_index_restriction_images_hold()),
+        Check(f"product index chains shrink as d grows, d <= {chain_cap}",
+              bounds.criterion_chains_shrink(chain_cap)),
+        Check("sphere index of the 2-plane matches the H1 value",
+              indexes.two_plane_sphere_index_matches_h1()),
     ]
 
 
@@ -288,7 +284,7 @@ def suite_oracle():
             gens, f, span = _random_instance(ring, draws, deg_cap, slice_cap)
             enumerated = span_contains_by_enumeration(span, f)
             mismatches += ideal_contains(gens, f) != enumerated
-        checks.append(_check(
+        checks.append(Check(
             f"membership matches enumeration on {ORACLE_INSTANCES} instances "
             f"in {ring.name}",
             mismatches == 0, detail=f"{mismatches} mismatches"))

@@ -4,6 +4,7 @@ import random
 import zlib
 
 import pytest
+from test_poly import CUBE_Z, UV23_F2
 
 from d8index.bounds import bound_report
 from d8index.rings import (CATALOG, ElementParseError,
@@ -104,14 +105,42 @@ def test_rewrite_confluence(name):
     assert ring.check_confluence()
 
 
-NON_CONFLUENT = RingPresentation("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
-                                 relations=[((2, 0), {(0, 2): 1}), ((1, 1), {})])
+class Unchecked(RingPresentation):
+    """A presentation whose construction skips the confluence refusal, so
+    that a test can hold a ring the pair check rejects; the decision
+    itself is `RingPresentation.check_confluence(ring)`."""
+
+    def check_confluence(self):
+        return True
+
+
+def _rebuild(ring):
+    """The ring's presentation constructed afresh, with every check."""
+    return RingPresentation(ring.name, ring.coeff, ring.gens, ring.degrees,
+                            ring.orders, ring.relations)
+
+
+NON_CONFLUENT = Unchecked("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
+                          relations=[((2, 0), {(0, 2): 1}), ((1, 1), {})])
 
 
 def test_confluence_check_can_fail():
     """x^2 -> y^2, x*y -> 0 terminates but is not confluent: x^2*y
     rewrites to y^3 by one rule and to 0 by the other."""
-    assert not NON_CONFLUENT.check_confluence()
+    assert not RingPresentation.check_confluence(NON_CONFLUENT)
+
+
+@pytest.mark.parametrize("relations", [
+    [((2, 0), {(0, 2): 1}), ((1, 1), {})],
+    [((1, 1), {}), ((2, 0), {(0, 2): 1})],
+], ids=["listed", "reversed"])
+def test_rules_that_are_not_confluent_are_refused(relations):
+    """Listed either way round, x^2 -> y^2 and x*y -> 0 would rewrite
+    x^2*y to y^3 or to 0 depending on the order; construction refuses
+    them."""
+    with pytest.raises(ValueError, match="confluent"):
+        RingPresentation("F2[x,y]/rules", "F2", ("x", "y"), (1, 1),
+                         relations=relations)
 
 
 def _confluent_to_degree(ring, top):
@@ -131,8 +160,8 @@ def _confluent_to_degree(ring, top):
 def _random_presentation(rng):
     """An F2 or Z ring on 2-3 generators of degree 1-3 (order 2 or 4 in
     a Z ring) with 2-4 rules: pattern exponents 0-2, each replaced by 0-2
-    monomials of its degree with coefficients 1-3; None when
-    construction refuses it."""
+    monomials of its degree with coefficients 1-3, built as `Unchecked`;
+    None when construction refuses it."""
     coeff = rng.choice(("F2", "Z"))
     n = rng.randint(2, 3)
     degrees = tuple(rng.randint(1, 3) for _ in range(n))
@@ -146,8 +175,7 @@ def _random_presentation(rng):
         picked = rng.sample(same, min(len(same), rng.randint(0, 2)))
         relations.append((pat, {m: rng.randint(1, 3) for m in picked}))
     try:
-        return RingPresentation("random", coeff, "uvw"[:n], degrees, orders,
-                                relations)
+        return Unchecked("random", coeff, "uvw"[:n], degrees, orders, relations)
     except ValueError:
         return None
 
@@ -155,7 +183,8 @@ def _random_presentation(rng):
 def test_confluence_matches_the_degree_sweep_on_random_presentations():
     """The pairs-of-rules decision agrees with the sweep run 8 degrees
     past the largest lcm of two patterns, on seeded random presentations
-    of both verdicts."""
+    of both verdicts, and construction refuses exactly the presentations
+    it finds not confluent."""
     rng = random.Random(34)
     verdicts = []
     while len(verdicts) < 1000:
@@ -164,15 +193,21 @@ def test_confluence_matches_the_degree_sweep_on_random_presentations():
             continue
         top = max(ring.monomial_degree(tuple(map(max, p, q)))
                   for (_, p, _), (_, q, _) in itertools.combinations(ring._rules, 2))
-        verdict = ring.check_confluence()
+        verdict = RingPresentation.check_confluence(ring)
         assert verdict == _confluent_to_degree(ring, top + 8), ring.relations
+        if verdict:
+            assert _rebuild(ring) == ring
+        else:
+            with pytest.raises(ValueError, match="confluent"):
+                _rebuild(ring)
         verdicts.append(verdict)
     assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def test_confluence_lists_no_monomials(monkeypatch):
     """`check_confluence` works from the rules alone: it never lists the
-    exponent tuples of a degree."""
+    exponent tuples of a degree, and neither does construction, which
+    runs it."""
     def refuse(self, *args):
         raise AssertionError("check_confluence listed monomials")
 
@@ -180,7 +215,8 @@ def test_confluence_lists_no_monomials(monkeypatch):
     monkeypatch.setattr(RingPresentation, "_exponent_walk", refuse)
     for ring in (*CATALOG.values(), YW_F2):
         assert ring.check_confluence(), ring.name
-    assert not NON_CONFLUENT.check_confluence()
+        assert _rebuild(ring) == ring
+    assert not RingPresentation.check_confluence(NON_CONFLUENT)
 
 
 @pytest.mark.parametrize("name", ALL_RING_IDS)
@@ -261,8 +297,8 @@ def test_rules_must_be_oriented_one_lexicographic_way():
     refuses them, and every rule set whose replacements move both up and
     down in lex order, even one that terminates (the last: the test is
     sufficient, not necessary).  They are constructed only, never
-    normalised.  Rule sets oriented one way are accepted, an empty
-    replacement counting for neither direction."""
+    normalised.  Confluent rule sets oriented one way are accepted, an
+    empty replacement counting for neither direction."""
     def ring(relations):
         return RingPresentation("cyc", "F2", ("x", "y"), (1, 1),
                                 relations=relations)
@@ -274,8 +310,8 @@ def test_rules_must_be_oriented_one_lexicographic_way():
                       [((2, 0), {(0, 2): 1}), ((0, 3), {(1, 2): 1})]):
         with pytest.raises(ValueError, match="orients"):
             ring(relations)
-    down = ring([((2, 0), {(1, 1): 1, (0, 2): 1}), ((1, 1), {(0, 2): 1})])
-    assert down.parse("x^2") == down.zero()
+    down = ring([((2, 0), {(1, 1): 1, (0, 2): 1}), ((0, 2), {})])
+    assert down.parse("x^2") == down.parse("x*y")
     up = ring([((0, 2), {(1, 1): 1}), ((1, 1), {(2, 0): 1}), ((3, 0), {})])
     assert up.parse("y^3") == up.zero()
     assert up.parse("x*y") == up.parse("x^2")
@@ -316,7 +352,7 @@ def test_presentation_equality_is_structural():
     for other in (
             RingPresentation("r", "Z", gens, degrees, (2, 2, 4)),
             RingPresentation("r", "Z", gens, degrees, (2, 2, 4),
-                             [((0, 2, 0), {(1, 0, 1): 1}), ((1, 1, 0), {})]),
+                             [((0, 2, 0), {(1, 0, 1): 1}), ((2, 0, 0), {})]),
             RingPresentation("r", "Z", gens, degrees, (2, 2, 2), relations),
             RingPresentation("r", "Z", gens, degrees, (2, 4, 4), relations),
             RingPresentation("r", "F2", gens, degrees, relations=relations)):
@@ -431,17 +467,13 @@ def test_monomial_basis_is_sorted_and_normal():
     assert all(m[1] <= 1 for m in bound.monomials(12))  # M^2 rewrites away
 
 
-# presentations made here: free degrees 2 and 3, which the strand shape
-# excludes, and a strand ring with a bounded generator first in lex order
-# whose rule rewrites its cube
-COPRIME_F2 = RingPresentation("UV23_F2", "F2", ("u", "v"), (2, 3))
-CUBE_Z = RingPresentation("BUV_Z", "Z", ("b", "u", "v"), (1, 3, 6), (2, 2, 4),
-                          relations=[((3, 0, 0), {(0, 1, 0): 1})])
 # one free generator: off the strand path, with a staircase of one monomial
 ONE_FREE_CATALOG = {"H2_Z", "K1_F2", "K2_F2", "K3_F2", "K4_F2", "K5_F2", "K3_Z",
                     "Z2_F2", "Z2_Z"}
 NON_STRAND_CATALOG = {"D8_F2", "H2_F2", "D8_Z_FULL", "H1_Z", "H3_Z", "Z2xZ2_Z",
                       *ONE_FREE_CATALOG}
+# CUBE_Z, shared with test_poly: a strand ring with a bounded generator
+# first in lex order whose rule rewrites its cube
 STRAND_RINGS = [YW_F2, CUBE_Z,
                 *(r for name, r in CATALOG.items() if name not in NON_STRAND_CATALOG)]
 
@@ -469,7 +501,7 @@ def _steps(ascending):
 
 
 @pytest.mark.parametrize(
-    "ring", [*STRAND_RINGS, COPRIME_F2, *map(get_ring, sorted(ONE_FREE_CATALOG))],
+    "ring", [*STRAND_RINGS, UV23_F2, *map(get_ring, sorted(ONE_FREE_CATALOG))],
     ids=lambda ring: ring.name)
 def test_strand_closed_form_matches_the_staircase(ring):
     """In ascending lex order each degree's normal monomials, as the
