@@ -8,6 +8,9 @@ schema version; element output uses the grammar `coeff*sym^k` joined by
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 element parse failure, 141 stdout closed by its
 reader (the usual code for SIGPIPE).
+
+The parser is built from names spelled out here, so `--help` and usage
+errors load no engine module; tests/test_cli.py pins them to the engine.
 """
 
 import argparse
@@ -15,14 +18,12 @@ import functools
 import os
 import sys
 
-from . import bounds as bounds_mod
-from . import indexes
-from .rings import ElementParseError
+import d8index
 
 SCHEMA = "1"
 
-_CRITERION_OF_COEFF = {coeff: name for name, coeff
-                       in bounds_mod.CRITERION_REGISTRY.items()}
+# `bounds.CRITERION_REGISTRY` inverted
+_CRITERION_OF_COEFF = {"f2": "F2_D8", "h1f2": "H1_F2", "z": "Z_D8"}
 
 TABLE_COLUMNS = ("j", "ramos", "mvz", "f2_min_d", "z_min_d", "h1_min_d")
 
@@ -41,22 +42,24 @@ def _emit_json(payload):
 
 
 def cmd_admissible(args):
-    verdict = bounds_mod.admissible(args.d, args.j,
-                                    _CRITERION_OF_COEFF[args.coeff])
+    from . import bounds
+    verdict = bounds.admissible(args.d, args.j, _CRITERION_OF_COEFF[args.coeff])
     _emit_json({"schema": SCHEMA, **verdict.to_dict()})
     return 0
 
 
 def cmd_bounds(args):
-    report = bounds_mod.bound_report(args.j, args.scan_cap)
+    from . import bounds
+    report = bounds.bound_report(args.j, args.scan_cap)
     _emit_json({"schema": SCHEMA, **report.to_dict()})
     return 0
 
 
 def _table_rows(j_max, scan_cap):
+    from . import bounds
     rows = []
     for j in range(1, j_max + 1):
-        r = bounds_mod.bound_report(j, scan_cap)
+        r = bounds.bound_report(j, scan_cap)
         rows.append({"j": r.j, "ramos": r.ramos_lower, "mvz": r.mvz_upper,
                      "f2_min_d": r.f2_min_d, "z_min_d": r.z_min_d,
                      "h1_min_d": r.h1_min_d})
@@ -98,8 +101,11 @@ def cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
-_FAMILIES = {"pi": indexes.pi_poly, "Pi": indexes.capital_pi_poly,
-             "rho": indexes.rho_poly}
+# the engine is reached through the package's names, which load their
+# home module when a verb first calls them
+_FAMILIES = {"pi": lambda d: d8index.pi_poly(d),
+             "Pi": lambda d: d8index.capital_pi_poly(d),
+             "rho": lambda d: d8index.rho_poly(d)}
 
 
 def cmd_poly(args):
@@ -109,6 +115,7 @@ def cmd_poly(args):
 
 def cmd_restrict(args):
     from .homs import restriction
+    from .rings import ElementParseError
     try:
         hom = restriction(args.src, args.to, args.coeff.upper())
     except KeyError as exc:
@@ -125,15 +132,15 @@ def cmd_restrict(args):
 
 # ideal name -> (flag it needs, generators from the parsed arguments)
 _IDEALS = {
-    "sphere_f2": ("j", lambda a: indexes.index_sphere_r4j_f2(a.j)),
-    "sphere_z": ("j", lambda a: indexes.index_sphere_r4j_z(a.j)),
+    "sphere_f2": ("j", lambda a: d8index.index_sphere_r4j_f2(a.j)),
+    "sphere_z": ("j", lambda a: d8index.index_sphere_r4j_z(a.j)),
     "product_spheres_f2":
-        ("d", lambda a: indexes.index_product_spheres_f2(a.d, a.kind)),
-    "product_spheres_z": ("d", lambda a: indexes.index_product_spheres_z(a.d)),
-    "h1_product_z": ("n", lambda a: indexes.index_h1_z_product(a.n)),
+        ("d", lambda a: d8index.index_product_spheres_f2(a.d, a.kind)),
+    "product_spheres_z": ("d", lambda a: d8index.index_product_spheres_z(a.d)),
+    "h1_product_z": ("n", lambda a: d8index.index_h1_z_product(a.n)),
     # the names the bounds give the integral sphere and product indexes
-    "a_ideal": ("j", lambda a: indexes.index_sphere_r4j_z(a.j)),
-    "b_ideal": ("d", lambda a: indexes.index_product_spheres_z(a.d)),
+    "a_ideal": ("j", lambda a: d8index.index_sphere_r4j_z(a.j)),
+    "b_ideal": ("d", lambda a: d8index.index_product_spheres_z(a.d)),
 }
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import d8index
+from d8index import cli
 from d8index.cli import build_parser, main
 from d8index.rings import YW_F2, get_ring
 
@@ -412,14 +413,14 @@ TEXT_ARGVS = [
 LEAN_ARGVS = JSON_ARGVS + TEXT_ARGVS
 
 
-def _modules_loaded_by(argv):
+def _modules_loaded_by(argv, expected_code=0):
     src = os.path.dirname(os.path.dirname(d8index.__file__))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout)
-    assert code == 0, argv
+    assert code == expected_code, argv
     return set(loaded)
 
 
@@ -441,3 +442,63 @@ def test_verb_loads_no_heavy_module(argv):
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_verb_loads_what_it_uses(argv, needed):
     assert needed in _modules_loaded_by(argv)
+
+
+NEEDLESS_MODULES = [
+    (["restrict", "--from", "D8", "--to", "H1", "--coeff", "f2", "--element", "w"],
+     {"d8index.bounds", "d8index.indexes", "d8index.poly", "d8index.linalg"}),
+    (["poly", "--family", "Pi", "--d", "5"], {"d8index.bounds"}),
+    (["ideal", "--name", "b_ideal", "--d", "3"], {"d8index.bounds"}),
+]
+
+
+@pytest.mark.parametrize("argv, needless", NEEDLESS_MODULES,
+                         ids=[" ".join(argv) for argv, _ in NEEDLESS_MODULES])
+def test_verb_does_not_load_what_it_does_not_use(argv, needless):
+    assert _modules_loaded_by(argv) & needless == set()
+
+
+# help and usage errors end before any verb runs, or in a verb's own
+# checks, and load no engine module
+ENGINE_FREE_ARGVS = [
+    (["--help"], 0),
+    (["admissible", "--help"], 0),
+    (["table", "--help"], 0),
+    (["verify", "--help"], 0),
+    (["admissible", "--d", "0", "--j", "1", "--coeff", "z"], 2),
+    (["table", "--j-max", "3", "--format", "bogus"], 2),
+    (["verify", "--suite", "bogus"], 2),
+    (["verify", "--suite", "all", "--max-degree", "2000"], 2),
+    (["ideal", "--name", "bogus", "--j", "2"], 2),
+    (["ideal", "--name", "sphere_f2"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", ENGINE_FREE_ARGVS,
+                         ids=[" ".join(argv) for argv, _ in ENGINE_FREE_ARGVS])
+def test_help_and_usage_errors_load_no_engine_module(argv, code):
+    package = {m for m in _modules_loaded_by(argv, code) if m.split(".")[0] == "d8index"}
+    assert package == {"d8index", "d8index.cli"}
+
+
+def test_coeff_choices_are_the_criteria_inverted():
+    from d8index import bounds
+    assert cli._CRITERION_OF_COEFF == {
+        coeff: name for name, coeff in bounds.CRITERION_REGISTRY.items()}
+
+
+def test_families_call_their_indexes_functions():
+    from d8index import indexes
+    functions = {"pi": indexes.pi_poly, "Pi": indexes.capital_pi_poly,
+                 "rho": indexes.rho_poly}
+    assert cli._FAMILIES.keys() == functions.keys()
+    for family, function in functions.items():
+        for d in (1, 5, 12):
+            assert cli._FAMILIES[family](d) == function(d)
+
+
+@pytest.mark.parametrize("name", sorted(cli._IDEALS))
+def test_every_ideal_name_builds_generators(capsys, name):
+    flag = cli._IDEALS[name][0]
+    code, out, err = run(capsys, "ideal", "--name", name, f"--{flag}", "2")
+    assert (code, err) == (0, "") and out.strip()
